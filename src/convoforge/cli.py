@@ -33,6 +33,8 @@ from .gateway import (
     embed_texts,
 )
 from .pipeline import (
+    INDEX_FILENAME,
+    SAMPLES_FILENAME,
     QaSample,
     export_finetune_file,
     read_corpus_file,
@@ -268,7 +270,7 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
 
 def cmd_export(args) -> int:
     cfg = load_run_config(args.config)
-    dataset = args.dataset or str(Path(cfg.paths.output_dir) / "samples.jsonl")
+    dataset = args.dataset or str(Path(cfg.paths.output_dir) / SAMPLES_FILENAME)
     samples = _load_samples(dataset)
     valid_sizes = sorted(cfg.pipeline.subset_sizes)
     if args.size not in cfg.pipeline.subset_sizes:
@@ -292,7 +294,7 @@ def cmd_dedup_check(args) -> int:
         if threshold is None:
             threshold = cfg.pipeline.dedup_threshold
         if index_path is None:
-            index_path = str(Path(cfg.paths.output_dir) / "index.tsv")
+            index_path = str(Path(cfg.paths.output_dir) / INDEX_FILENAME)
     if index_path is None:
         raise ValueError("--index is required when no --config is given")
     if threshold is None:

@@ -46,16 +46,11 @@ class PathsConfig:
     output_dir: str = "runs/latest"
     validation: Optional[str] = None
 
-    @property
-    def index_snapshot(self) -> str:
-        return str(Path(self.output_dir) / "index.tsv")
-
 
 @dataclass(frozen=True)
 class RunConfig:
     pipeline: PipelineConfig
     gateways: dict[str, GatewayConfig]
-    gateway_models: dict[str, dict[str, str]]
     generation_profile: str
     embedding_profile: str
     eval_threshold: float
@@ -69,13 +64,6 @@ class RunConfig:
         except KeyError:
             known = ", ".join(sorted(self.gateways)) or "none"
             raise ConfigError(f"unknown gateway profile {profile!r}; defined: {known}") from None
-
-    def model_for(self, profile: str, kind: str) -> str:
-        models = self.gateway_models.get(profile, {})
-        model = models.get(kind)
-        if not model:
-            raise ConfigError(f"gateway profile {profile!r} does not define a {kind} model")
-        return model
 
 
 def _interpolate(value, source: str):
@@ -135,15 +123,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: pipeline section: {exc}") from exc
 
     gateways: dict[str, GatewayConfig] = {}
-    gateway_models: dict[str, dict[str, str]] = {}
     for name, entry in (raw.get("gateways") or {}).items():
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: gateway {name!r} must be a mapping")
         entry = dict(entry)
-        models = {}
-        for kind in ("chat", "embedding"):
-            if f"{kind}_model" in entry:
-                models[kind] = entry.pop(f"{kind}_model")
         api_key_env = entry.pop("api_key_env", None)
         if api_key_env is None:
             raise ConfigError(f"{path}: gateway {name!r} must set api_key_env (a variable name)")
@@ -151,7 +134,6 @@ def load_run_config(path) -> RunConfig:
             gateways[name] = GatewayConfig(api_key_env_name=api_key_env, **entry)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: gateway {name!r}: {exc}") from exc
-        gateway_models[name] = models
 
     run = raw.get("run") or {}
     generation_profile = run.get("generation_profile", "default")
@@ -202,7 +184,6 @@ def load_run_config(path) -> RunConfig:
     config = RunConfig(
         pipeline=pipeline,
         gateways=gateways,
-        gateway_models=gateway_models,
         generation_profile=generation_profile,
         embedding_profile=embedding_profile,
         eval_threshold=threshold,
@@ -241,8 +222,6 @@ gateways:                # named endpoint profiles
   <name>:
     base_url: str              OpenAI-compatible endpoint root
     api_key_env: str           NAME of the env var holding the key
-    chat_model: str            optional default chat model id
-    embedding_model: str       optional default embedding model id
     request_timeout: float     default 60
     max_retries: int           default 4 (max 8)
     backoff_base: float        default 0.5

@@ -53,6 +53,9 @@ REPORT_JSON = "report.json"
 RECORDS_CSV = "records.csv"
 AGGREGATE_CSV = "aggregate.csv"
 
+# Evaluation decodes deterministically, whatever the synthesis temperature.
+EVAL_TEMPERATURE = 0.0
+
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 
@@ -63,7 +66,6 @@ class ModelUnderTest:
     model_id: str
     system_prompt: str
     max_output_tokens: int = 512
-    temperature: float = 0.0  # deterministic evaluation decoding
 
     def __post_init__(self):
         if not self.label:
@@ -122,7 +124,7 @@ def generate_responses(
                 ChatMessage("system", model.system_prompt),
                 ChatMessage("user", sample.question),
             ),
-            temperature=model.temperature,
+            temperature=EVAL_TEMPERATURE,
             max_output_tokens=model.max_output_tokens,
         )
         try:

@@ -284,23 +284,6 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
-@dataclass
-class _SectionWork:
-    """Everything a worker can decide without touching shared state."""
-    section: CorpusSection
-    outcome: str  # "candidate" or a terminal outcome
-    attempt_scores: list[float] = field(default_factory=list)
-    question: Optional[str] = None
-    answer_original: Optional[str] = None
-    answer_simplified: Optional[str] = None
-    flesch_score: Optional[float] = None
-    attempts_used: Optional[int] = None
-    embedding: Optional[EmbeddingVector] = None
-    error: Optional[str] = None
-    started_at: str = ""
-    finished_at: str = ""
-
-
 def _process_section(
     section: CorpusSection,
     config: PipelineConfig,
@@ -308,43 +291,45 @@ def _process_section(
     embed: EmbedFn,
     qa_template: str = prompts.QA_GENERATION_TEMPLATE,
     simplify_template: str = prompts.SIMPLIFY_TEMPLATE,
-) -> _SectionWork:
-    work = _SectionWork(section=section, outcome="generation_error", started_at=_utc_now())
+) -> tuple[GenerationTrace, Optional[tuple[QaSample, EmbeddingVector]]]:
+    """Everything a worker can decide without touching shared state.
+
+    Returns the section's trace and, for a gate-passing answer, the
+    candidate sample with its question embedding. The serial stage
+    settles a candidate's outcome with the dedup decision.
+    """
+    trace = GenerationTrace(
+        section_id=section.section_id, outcome="generation_error", started_at=_utc_now()
+    )
+    candidate = None
     try:
         question, answer_original = generate_qa(section, config, chat, qa_template)
-    except (QaParseError, GatewayError) as exc:
-        work.error = str(exc)
-        work.finished_at = _utc_now()
-        return work
-    work.question = question
-    work.answer_original = answer_original
-    try:
         simplified = simplify_until_pass(
             question, answer_original, config, chat, simplify_template
         )
-    except (GatewayError, UnscorableTextError) as exc:
-        work.error = str(exc)
-        work.finished_at = _utc_now()
-        return work
-    work.attempt_scores = simplified.attempt_scores
-    if not simplified.accepted:
-        work.outcome = "discarded_readability"
-        work.finished_at = _utc_now()
-        return work
-    work.answer_simplified = simplified.answer_simplified
-    work.flesch_score = simplified.flesch_score
-    work.attempts_used = simplified.attempts_used
-    try:
-        # Embedding is paid only for gate-passing samples, right before
-        # the dedup decision.
-        work.embedding = embed([question])[0]
-    except GatewayError as exc:
-        work.error = f"embedding failed: {exc}"
-        work.finished_at = _utc_now()
-        return work
-    work.outcome = "candidate"
-    work.finished_at = _utc_now()
-    return work
+        trace.attempt_scores = simplified.attempt_scores
+        if not simplified.accepted:
+            trace.outcome = "discarded_readability"
+        else:
+            sample = QaSample(
+                sample_id=f"qa-{section.section_id}",
+                question=question,
+                answer_original=answer_original,
+                answer_simplified=simplified.answer_simplified,
+                flesch_score=simplified.flesch_score,
+                attempts_used=simplified.attempts_used,
+                section_id=section.section_id,
+            )
+            try:
+                # Embedding is paid only for gate-passing samples, right before
+                # the dedup decision.
+                candidate = (sample, embed([question])[0])
+            except GatewayError as exc:
+                trace.error = f"embedding failed: {exc}"
+    except (QaParseError, GatewayError, UnscorableTextError) as exc:
+        trace.error = str(exc)
+    trace.finished_at = _utc_now()
+    return trace, candidate
 
 
 @dataclass
@@ -425,19 +410,17 @@ def run_pipeline(
             open(out_dir / TRACES_FILENAME, mode, encoding="utf-8") as traces_fh, \
             ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
         section_iter = iter(sections)
-        window: deque[tuple[CorpusSection, Future]] = deque()
+        window: deque[Future] = deque()
 
         def submit_next() -> bool:
             try:
                 section = next(section_iter)
             except StopIteration:
                 return False
-            window.append(
-                (section, pool.submit(
-                    _process_section, section, config, chat, embed,
-                    qa_template, simplify_template,
-                ))
-            )
+            window.append(pool.submit(
+                _process_section, section, config, chat, embed,
+                qa_template, simplify_template,
+            ))
             return True
 
         for _ in range(config.concurrency_limit):
@@ -445,35 +428,16 @@ def run_pipeline(
                 break
 
         while window and len(samples) < config.target_samples:
-            section, future = window.popleft()
-            work = future.result()
+            trace, candidate = window.popleft().result()
             submit_next()
-
-            trace = GenerationTrace(
-                section_id=section.section_id,
-                outcome=work.outcome,
-                attempt_scores=work.attempt_scores,
-                error=work.error,
-                started_at=work.started_at,
-                finished_at=work.finished_at,
-            )
-            if work.outcome == "candidate":
-                sample_id = f"qa-{section.section_id}"
-                decision = index.check_and_insert(sample_id, work.embedding)
+            if candidate is not None:
+                sample, embedding = candidate
+                decision = index.check_and_insert(sample.sample_id, embedding)
                 if decision.accepted:
-                    sample = QaSample(
-                        sample_id=sample_id,
-                        question=work.question,
-                        answer_original=work.answer_original,
-                        answer_simplified=work.answer_simplified,
-                        flesch_score=work.flesch_score,
-                        attempts_used=work.attempts_used,
-                        section_id=section.section_id,
-                    )
                     samples.append(sample)
                     samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
                     trace.outcome = "accepted"
-                    trace.sample_id = sample_id
+                    trace.sample_id = sample.sample_id
                 else:
                     trace.outcome = "rejected_duplicate"
                     trace.nearest_id = decision.nearest_id
@@ -482,7 +446,7 @@ def run_pipeline(
             traces.append(trace)
             traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
 
-        for _, leftover in window:
+        for leftover in window:
             leftover.cancel()
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
 
 import numpy as np
 
@@ -56,22 +55,12 @@ def text_embedding(text: str) -> list[float]:
 class SimulatedModelTransport:
     """Transport double for both endpoint paths; never touches a socket."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.calls: list[str] = []
-
     def post(self, path: str, payload: dict) -> TransportResponse:
-        with self._lock:
-            self.calls.append(path)
         if path == CHAT_PATH:
             return TransportResponse(200, self._chat_body(payload))
         if path == EMBEDDINGS_PATH:
             return TransportResponse(200, self._embeddings_body(payload))
         return TransportResponse(404, f"unknown path {path}")
-
-    def call_count(self, path: str) -> int:
-        with self._lock:
-            return self.calls.count(path)
 
     def _chat_body(self, payload: dict) -> dict:
         prompt = payload["messages"][-1]["content"]

@@ -1,11 +1,14 @@
 """Config loading: YAML schema, env-name secrets, interpolation, validation."""
 
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
-from convoforge.config import ConfigError, load_run_config
+from convoforge.config import CONFIG_SCHEMA, ConfigError, load_run_config
+from convoforge.gateway import GatewayConfig
+from convoforge.pipeline import PipelineConfig
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -22,8 +25,6 @@ gateways:
   main:
     base_url: https://example.invalid/v1
     api_key_env: MAIN_GW_KEY
-    chat_model: chat-x
-    embedding_model: embed-y
     max_retries: 2
 
 run:
@@ -68,8 +69,6 @@ class TestLoading:
         assert cfg.eval_models[1].training_set_size == 9000
         assert cfg.paths.output_dir == "runs/test"
         assert cfg.gateway_for("main").max_retries == 2
-        assert cfg.model_for("main", "chat") == "chat-x"
-        assert cfg.model_for("main", "embedding") == "embed-y"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -143,18 +142,14 @@ class TestProfiles:
         with pytest.raises(ConfigError, match="ghost"):
             load_run_config(write_config(tmp_path, text))
 
-    def test_unknown_model_kind_reported(self, tmp_path):
-        text = (
-            "gateways:\n"
-            "  main:\n"
-            "    base_url: https://example.invalid\n"
-            "    api_key_env: K\n"
-            "run:\n"
-            "  generation_profile: main\n"
+    def test_gateway_model_key_is_rejected(self, tmp_path):
+        # Model ids come from pipeline.* and eval.models[].model only.
+        text = FULL_CONFIG.replace(
+            "    api_key_env: MAIN_GW_KEY\n",
+            "    api_key_env: MAIN_GW_KEY\n    chat_model: chat-x\n",
         )
-        cfg = load_run_config(write_config(tmp_path, text))
-        with pytest.raises(ConfigError, match="chat"):
-            cfg.model_for("main", "chat")
+        with pytest.raises(ConfigError, match="chat_model"):
+            load_run_config(write_config(tmp_path, text))
 
 
 class TestEvalSection:
@@ -200,3 +195,25 @@ class TestEvalSection:
         )
         with pytest.raises(ConfigError, match="system prompt"):
             load_run_config(write_config(tmp_path, text))
+
+
+def schema_keys(section: str, indent: int) -> list[str]:
+    """Keys CONFIG_SCHEMA lists at `indent` under the top-level `section`."""
+    keys, current = [], None
+    for line in CONFIG_SCHEMA.splitlines():
+        if line and not line[0].isspace():
+            current = line.split(":", 1)[0]
+        elif current == section and line[:indent].isspace() and line[indent] != " ":
+            keys.append(line.split(":", 1)[0].strip())
+    return keys
+
+
+class TestSchemaText:
+    def test_pipeline_keys_match_the_dataclass(self):
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert schema_keys("pipeline", 2) == fields
+
+    def test_gateway_keys_match_the_dataclass(self):
+        renamed = {"api_key_env_name": "api_key_env"}
+        fields = [renamed.get(f.name, f.name) for f in dataclasses.fields(GatewayConfig)]
+        assert schema_keys("gateways", 4) == fields

@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from convoforge.gateway import NetworkError
 from convoforge.pipeline import (
     OUTCOMES,
     CorpusSection,
@@ -298,6 +299,49 @@ class TestRunPipeline:
         assert len(sample_ids) == len(set(sample_ids)) == 42
         on_disk = read_corpus_file(tmp_path / "samples.jsonl")
         assert [r["sample_id"] for r in on_disk] == sample_ids
+
+    def test_embedding_failure_is_a_generation_error(
+        self, corpus50_records, sim_fns, tmp_path, golden_manifest
+    ):
+        failing = {f"sec-ok-0{n}0" for n in range(1, 5)}
+
+        def embed(texts):
+            if any(sid in texts[0] for sid in failing):
+                raise NetworkError("connection reset")
+            return sim_fns.embed(texts)
+
+        result = run_pipeline(
+            PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path
+        )
+        failed = {t.section_id: t for t in result.traces if t.section_id in failing}
+        assert set(failed) == failing
+        for trace in failed.values():
+            assert trace.outcome == "generation_error"
+            assert trace.error.startswith("embedding failed: ")
+            assert trace.attempt_scores and trace.attempt_scores[-1] >= 75.0
+            assert trace.sample_id is None
+        counts = result.manifest["counts"]
+        assert counts["accepted"] == golden_manifest["counts"]["accepted"] - len(failing)
+        assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
+        failed_ids = {f"qa-{sid}" for sid in failing}
+        on_disk = read_corpus_file(tmp_path / "samples.jsonl")
+        assert not failed_ids & {r["sample_id"] for r in on_disk}
+        index_ids = {
+            line.split("\t", 1)[0]
+            for line in (tmp_path / "index.tsv").read_text(encoding="utf-8").splitlines()
+        }
+        assert not failed_ids & index_ids
+
+    def test_trace_records_share_one_key_order(self, corpus50_records, sim_fns, tmp_path):
+        run_pipeline(PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path)
+        expected = [
+            "section_id", "outcome", "attempt_scores", "sample_id", "nearest_id",
+            "nearest_similarity", "error", "started_at", "finished_at",
+        ]
+        records = read_corpus_file(tmp_path / "traces.jsonl")
+        assert {r["outcome"] for r in records} == set(OUTCOMES)
+        for record in records:
+            assert list(record) == expected, record["outcome"]
 
 
 def make_samples(n: int) -> list[QaSample]:
