@@ -2,9 +2,18 @@
 
 New questions are rejected when their embedding is too close to one
 already in the dataset: strictly greater than the threshold rejects, so
-a similarity of exactly 0.8 under the default still passes. The scan is
-an exact linear one; at ten thousand entries there is nothing to gain
-from approximate search, and exactness keeps the boundary testable.
+a similarity of exactly 0.8 under the default still passes. The search
+is exact and flat, as in FAISS IndexFlatIP (Johnson et al., arXiv
+1702.08734) and SemDeDup (Abbas et al., arXiv 2303.09540): the vectors
+are the rows of one float64 matrix whose capacity doubles when full,
+beside one array of their norms. At ten thousand entries approximate
+search gains nothing, and exactness keeps the boundary testable.
+
+The insert check, the violation scan and cosine_similarity share one
+kernel, `_similarities`, built on np.einsum rather than `@`: einsum
+reduces each row alone, on one thread, so a row's bits do not depend on
+how many rows are passed or where they start (a BLAS gemv's can). The
+scan thus never flags a pair that the index accepted.
 """
 
 from __future__ import annotations
@@ -36,22 +45,25 @@ class EmbeddingVector:
         return cls(tuple(values))
 
 
-def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray, norm_b: float) -> float:
-    # Single shared expression so the index scan and the standalone
-    # function produce bit-identical floats.
-    return float(np.dot(a, b) / (norm_a * norm_b))
+def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.ndarray:
+    """Cosine of `probe` against each row; the module's one kernel."""
+    return np.einsum("ij,j->i", rows, probe) / (norms * probe_norm)
+
+
+def _as_row(vector: EmbeddingVector) -> tuple[np.ndarray, float]:
+    arr = np.asarray(vector.values, dtype=np.float64)
+    norm = float(np.linalg.norm(arr))
+    if norm == 0.0:
+        raise ValueError("cosine similarity is undefined for zero-magnitude vectors")
+    return arr, norm
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    arr_a = np.asarray(a.values, dtype=np.float64)
-    arr_b = np.asarray(b.values, dtype=np.float64)
-    norm_a = float(np.linalg.norm(arr_a))
-    norm_b = float(np.linalg.norm(arr_b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity is undefined for zero-magnitude vectors")
-    return _cosine(arr_a, norm_a, arr_b, norm_b)
+    arr_a, norm_a = _as_row(a)
+    arr_b, norm_b = _as_row(b)
+    return float(_similarities(arr_a[None, :], norm_a, arr_b, norm_b)[0])
 
 
 @dataclass(frozen=True)
@@ -74,49 +86,47 @@ class QuestionIndex:
         self._threshold = threshold
         self._ids: list[str] = []
         self._id_set: set[str] = set()
-        self._vectors: list[EmbeddingVector] = []
-        self._arrays: list[np.ndarray] = []
-        self._norms: list[float] = []
-        self._dimension: Optional[int] = None
+        # Row k of both holds entry k; rows from len(self) on are spare.
+        self._rows = np.empty((0, 0))
+        self._norms = np.empty(0)
 
     @property
     def threshold(self) -> float:
         return self._threshold
 
-    @property
-    def dimension(self) -> Optional[int]:
-        return self._dimension
-
     def __len__(self) -> int:
         return len(self._ids)
 
     def entries(self) -> list[tuple[str, EmbeddingVector]]:
-        return list(zip(self._ids, self._vectors))
+        return [
+            (sample_id, EmbeddingVector.from_iterable(row.tolist()))
+            for sample_id, row in zip(self._ids, self._rows)
+        ]
 
-    def _prepare(self, sample_id: str, vector: EmbeddingVector) -> np.ndarray:
+    def _prepare(self, sample_id: str, vector: EmbeddingVector) -> tuple[np.ndarray, float]:
         if sample_id in self._id_set:
             raise ValueError(f"duplicate sample_id {sample_id!r}")
-        if self._dimension is not None and vector.dimension != self._dimension:
-            raise ValueError(
-                f"dimension mismatch: index holds {self._dimension}, got {vector.dimension}"
-            )
-        arr = np.asarray(vector.values, dtype=np.float64)
-        if float(np.linalg.norm(arr)) == 0.0:
-            raise ValueError("zero-magnitude vectors cannot be indexed")
-        return arr
+        dimension = self._rows.shape[1]
+        if self._ids and vector.dimension != dimension:
+            raise ValueError(f"dimension mismatch: index holds {dimension}, got {vector.dimension}")
+        return _as_row(vector)
 
-    def _insert(self, sample_id: str, vector: EmbeddingVector, arr: np.ndarray) -> None:
+    def _insert(self, sample_id: str, arr: np.ndarray, norm: float) -> None:
+        n = len(self._ids)
+        if n == len(self._rows):  # full: double the capacity, 16 rows at first
+            rows = np.empty((max(2 * n, 16), arr.size))
+            norms = np.empty(len(rows))
+            rows[:n] = self._rows.reshape(n, arr.size)  # the empty start is 0 x 0
+            norms[:n] = self._norms
+            self._rows, self._norms = rows, norms
+        self._rows[n] = arr
+        self._norms[n] = norm
         self._ids.append(sample_id)
         self._id_set.add(sample_id)
-        self._vectors.append(vector)
-        self._arrays.append(arr)
-        self._norms.append(float(np.linalg.norm(arr)))
-        self._dimension = vector.dimension
 
     def add_unchecked(self, sample_id: str, vector: EmbeddingVector) -> None:
         """Insert without a similarity check (bulk loads, snapshots)."""
-        arr = self._prepare(sample_id, vector)
-        self._insert(sample_id, vector, arr)
+        self._insert(sample_id, *self._prepare(sample_id, vector))
 
     def check_and_insert(self, sample_id: str, vector: EmbeddingVector) -> DedupDecision:
         """Insert unless a stored entry is strictly closer than threshold.
@@ -125,35 +135,28 @@ class QuestionIndex:
         earliest-inserted entry is reported. Rejected vectors are not
         inserted.
         """
-        arr = self._prepare(sample_id, vector)
-        norm = float(np.linalg.norm(arr))
-        nearest_id: Optional[str] = None
-        nearest_sim = -math.inf
-        for existing_id, existing_arr, existing_norm in zip(
-            self._ids, self._arrays, self._norms
-        ):
-            sim = _cosine(existing_arr, existing_norm, arr, norm)
-            if sim > nearest_sim:
-                nearest_sim = sim
-                nearest_id = existing_id
-        if nearest_id is None:
-            self._insert(sample_id, vector, arr)
+        arr, norm = self._prepare(sample_id, vector)
+        n = len(self._ids)
+        if n == 0:
+            self._insert(sample_id, arr, norm)
             return DedupDecision(accepted=True)
-        if nearest_sim > self._threshold:
-            return DedupDecision(
-                accepted=False, nearest_id=nearest_id, nearest_similarity=nearest_sim
-            )
-        self._insert(sample_id, vector, arr)
-        return DedupDecision(
-            accepted=True, nearest_id=nearest_id, nearest_similarity=nearest_sim
+        sims = _similarities(self._rows[:n], self._norms[:n], arr, norm)
+        nearest = int(np.argmax(sims))  # first maximum: the earliest entry
+        decision = DedupDecision(
+            accepted=bool(sims[nearest] <= self._threshold),
+            nearest_id=self._ids[nearest],
+            nearest_similarity=float(sims[nearest]),
         )
+        if decision.accepted:
+            self._insert(sample_id, arr, norm)
+        return decision
 
 
 def save_index(index: QuestionIndex, path) -> None:
     """One entry per line: sample_id, tab, space-separated decimals."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, vector in index.entries():
-            decimals = " ".join(repr(v) for v in vector.values)
+        for sample_id, row in zip(index._ids, index._rows):
+            decimals = " ".join(repr(v) for v in row.tolist())
             fh.write(f"{sample_id}\t{decimals}\n")
 
 
@@ -166,25 +169,24 @@ def load_index(path, threshold: float = 0.8) -> QuestionIndex:
                 continue
             try:
                 sample_id, decimals = line.split("\t")
-                vector = EmbeddingVector.from_iterable(
-                    float(v) for v in decimals.split(" ")
-                )
+                vector = EmbeddingVector.from_iterable(float(v) for v in decimals.split(" "))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed index line") from exc
             index.add_unchecked(sample_id, vector)
     return index
 
 
-def find_violations(
-    index: QuestionIndex, threshold: Optional[float] = None
-) -> list[tuple[str, str, float]]:
-    """Brute-force pairwise scan; lists pairs whose similarity exceeds threshold."""
-    limit = index.threshold if threshold is None else threshold
-    entries = index.entries()
-    violations = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            sim = cosine_similarity(entries[i][1], entries[j][1])
-            if sim > limit:
-                violations.append((entries[i][0], entries[j][0], sim))
-    return violations
+def find_violations(index: QuestionIndex) -> list[tuple[str, str, float]]:
+    """Pairs above the index's threshold, sorted by insertion positions.
+
+    Entry j is scored against entries 0..j-1 by the very call that
+    check_and_insert made when j arrived, so a checked index is clean.
+    """
+    rows, norms, ids = index._rows, index._norms, index._ids
+    found = []
+    for j in range(1, len(ids)):
+        sims = _similarities(rows[:j], norms[:j], rows[j], norms[j])
+        over = np.flatnonzero(sims > index.threshold)
+        found.extend((int(i), j, float(sims[i])) for i in over)
+    found.sort()
+    return [(ids[i], ids[j], sim) for i, j, sim in found]

@@ -324,6 +324,8 @@ def embed_texts(
         raise ProtocolError(
             f"embedding count mismatch: sent {len(texts)} texts, got {len(vectors)} vectors"
         )
+    if [row["index"] for row in rows] != list(range(len(texts))):
+        raise ProtocolError(f"embedding indices do not match inputs: {_excerpt(body)}")
     dims = {v.dimension for v in vectors}
     if len(dims) > 1:
         raise ProtocolError(f"mixed embedding dimensions in one batch: {sorted(dims)}")

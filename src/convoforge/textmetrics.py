@@ -357,11 +357,6 @@ def count_syllables(word: str) -> int:
     return _parts_syllables(lowered)
 
 
-def _token_syllables(token: str) -> int:
-    """Syllables for any word token; non-alphabetic tokens count one."""
-    return _parts_syllables(token.lower())
-
-
 # ---------------------------------------------------------------------------
 # Flesch reading ease
 # ---------------------------------------------------------------------------
@@ -380,7 +375,7 @@ def flesch_reading_ease(text: str) -> TextStats:
         raise UnscorableTextError(
             "unscorable text: needs at least one sentence and one word"
         )
-    syllables = sum(_token_syllables(w) for w in words)
+    syllables = sum(_parts_syllables(w.lower()) for w in words)
     score = (
         206.835
         - 1.015 * (len(words) / len(sentences))

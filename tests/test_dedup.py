@@ -100,12 +100,22 @@ class TestIndexBoundary:
         assert decision.nearest_similarity > 0.8
 
     def test_tie_reports_earliest_inserted(self):
-        index = QuestionIndex(threshold=0.99)
-        index.check_and_insert("first", vec(1, 0, 0))
-        index.check_and_insert("second", vec(1, 0, 0.05))
-        # equidistant from both stored entries by symmetry
-        decision = index.check_and_insert("probe", vec(-1, 0, 0))
+        index = QuestionIndex(threshold=0.5)
+        index.check_and_insert("first", vec(1, 0))
+        index.check_and_insert("second", vec(0, 1))
+        assert len(index) == 2
+        # (1, 1) is at cosine 1/sqrt(2) to both stored entries
+        decision = index.check_and_insert("probe", vec(1, 1))
+        assert not decision.accepted
         assert decision.nearest_id == "first"
+
+    def test_zero_vector_cannot_be_indexed(self):
+        index = QuestionIndex()
+        with pytest.raises(ValueError, match="zero-magnitude"):
+            index.check_and_insert("a", vec(0, 0))
+        with pytest.raises(ValueError, match="zero-magnitude"):
+            cosine_similarity(vec(0, 0), vec(1, 0))
+        assert len(index) == 0
 
     def test_duplicate_id_rejected(self):
         index = QuestionIndex()
@@ -172,6 +182,69 @@ class TestFindViolations:
         id_a, id_b, sim = violations[0]
         assert {id_a, id_b} == {"a", "b"}
         assert sim > 0.8
+
+    def test_pairs_match_scalar_reference_in_order(self):
+        rng = np.random.default_rng(11)
+        dim = 24
+        rows = rng.standard_normal((60, dim))
+        # Plant near-duplicates, one entry in two pairs, and copies placed
+        # both before and after their originals.
+        for src, dst, mix in [(3, 40, 0.1), (3, 7, 0.2), (50, 12, 0.05), (21, 22, 0.3)]:
+            rows[dst] = rows[src] + mix * rng.standard_normal(dim)
+        index = QuestionIndex(threshold=0.8)
+        ids = [f"q{(17 * k) % 60:02d}" for k in range(60)]  # ids not in position order
+        for sample_id, row in zip(ids, rows):
+            index.add_unchecked(sample_id, vec(*row.tolist()))
+
+        def scalar_cosine(a, b):
+            dot = math.fsum(x * y for x, y in zip(a, b))
+            return dot / math.sqrt(math.fsum(x * x for x in a) * math.fsum(y * y for y in b))
+
+        expected = [
+            (ids[i], ids[j], scalar_cosine(rows[i].tolist(), rows[j].tolist()))
+            for i in range(60)
+            for j in range(i + 1, 60)
+        ]
+        expected = [pair for pair in expected if pair[2] > 0.8]
+        violations = find_violations(index)
+        assert [pair[:2] for pair in violations] == [pair[:2] for pair in expected]
+        for (_, _, sim), (_, _, ref) in zip(violations, expected):
+            assert sim == pytest.approx(ref, abs=1e-12)
+        planted = {(ids[3], ids[40]), (ids[3], ids[7]), (ids[12], ids[50]), (ids[21], ids[22])}
+        assert planted <= {pair[:2] for pair in violations}
+
+
+@pytest.mark.parametrize("dim", [3, 7, 64, 257, 1536])
+def test_no_indexed_pair_exceeds_threshold_at_the_boundary(dim):
+    """Probes at cosine 0.8 +- 1e-15 to an anchor straddle the strict bound.
+
+    Whatever the index accepts, the violation scan must find clean, and
+    the standalone cosine must give every decision's similarity bit for
+    bit.
+    """
+    rng = np.random.default_rng(dim)
+    anchor = rng.standard_normal(dim)
+    anchor /= np.linalg.norm(anchor)
+    index = QuestionIndex(threshold=0.8)
+    stored = {"anchor": vec(*anchor.tolist())}
+    index.check_and_insert("anchor", stored["anchor"])
+    accepted = 0
+    for k in range(300):
+        noise = rng.standard_normal(dim)
+        noise -= noise.dot(anchor) * anchor
+        noise /= np.linalg.norm(noise)
+        cos = 0.8 + rng.uniform(-1e-15, 1e-15)
+        probe = vec(*(cos * anchor + math.sqrt(1 - cos * cos) * noise).tolist())
+        decision = index.check_and_insert(f"p{k}", probe)
+        assert decision.nearest_similarity == cosine_similarity(
+            stored[decision.nearest_id], probe
+        )
+        if decision.accepted:
+            accepted += 1
+            stored[f"p{k}"] = probe
+            assert cosine_similarity(stored["anchor"], probe) <= 0.8
+    assert 0 < accepted < 300  # both sides of the boundary were exercised
+    assert find_violations(index) == []
 
 
 def brute_force_nearest(entries, probe: EmbeddingVector):

@@ -184,6 +184,19 @@ class TestEmbeddings:
         assert path == EMBEDDINGS_PATH
         assert payload == {"model": "emb", "input": ["first", "second"]}
 
+    @pytest.mark.parametrize("indices", [[1, 1], [0, 0], [1, 2]])
+    def test_duplicated_or_missing_indices_raise(self, indices):
+        body = {
+            "data": [
+                {"index": index, "embedding": [float(k), 1.0]}
+                for k, index in enumerate(indices)
+            ],
+            "model": "emb",
+        }
+        transport = TranscriptTransport([{"status": 200, "body": body}])
+        with pytest.raises(ProtocolError, match="indices"):
+            embed_texts(CONFIG, "emb", ["first", "second"], transport)
+
     def test_count_mismatch_raises(self):
         body = {"data": [{"index": 0, "embedding": [1.0]}], "model": "emb"}
         transport = TranscriptTransport([{"status": 200, "body": body}])
