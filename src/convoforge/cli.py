@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from . import prompts
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
 from .dedup import find_violations, load_index
-from .evalharness import ModelUnderTest, build_report, emit_report, generate_responses
+from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
     ChatMessage,
@@ -237,14 +237,8 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
     for spec in selected:
         gateway = cfg.gateway_for(spec.profile)
         transport = _make_transport(spec.profile, gateway, transport_factory)
-        model = ModelUnderTest(
-            label=spec.label,
-            gateway=gateway,
-            model_id=spec.model_id,
-            system_prompt=spec.system_prompt,
-            max_output_tokens=spec.max_output_tokens,
-        )
-        responses = generate_responses(model, samples, transport)
+        chat = _chat_fn(gateway, spec.model_id, spec.max_output_tokens, transport)
+        responses = generate_responses(spec.system_prompt, samples, chat)
         report = build_report(
             spec.label, samples, responses, threshold,
             embed=embed, training_set_size=spec.training_set_size,

@@ -18,6 +18,7 @@ import yaml
 from .gateway import GatewayConfig
 from .pipeline import PipelineConfig
 from .prompts import PRESETS
+from .textmetrics import CONVERSATIONAL_THRESHOLD
 
 # Ceiling of the score formula: a text of single-syllable one-word
 # sentences scores 206.835 - 1.015 - 84.6 = 121.22.
@@ -140,7 +141,7 @@ def load_run_config(path) -> RunConfig:
     embedding_profile = run.get("embedding_profile", generation_profile)
 
     eval_raw = raw.get("eval") or {}
-    threshold = float(eval_raw.get("threshold", 60))
+    threshold = float(eval_raw.get("threshold", CONVERSATIONAL_THRESHOLD))
     if not 0 < threshold <= MAX_FLESCH_SCORE:
         raise ConfigError(
             f"{path}: eval threshold must be in (0, {MAX_FLESCH_SCORE}], got {threshold}"
@@ -151,6 +152,8 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{source} must be a mapping")
         try:
+            if not entry["label"]:
+                raise ConfigError(f"{source}: label must be non-empty")
             size = entry.get("training_set_size")
             models.append(
                 EvalModelSpec(

@@ -21,24 +21,20 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .dedup import EmbeddingVector, cosine_similarity
-from .gateway import (
-    ChatMessage,
-    CompletionRequest,
-    GatewayConfig,
-    GatewayError,
-    Transport,
-    complete_chat,
-    embed_texts,
+from .dedup import cosine_similarity
+# Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
+from .gateway import ChatMessage, GatewayError, complete_chat, embed_texts  # noqa: F401
+from .pipeline import ChatFn, EmbedFn, QaSample
+from .textmetrics import (
+    CONVERSATIONAL_THRESHOLD,
+    UnscorableTextError,
+    flesch_reading_ease,
+    is_conversational,
 )
-from .pipeline import QaSample
-from .textmetrics import UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_THRESHOLD = 60.0
 
 # Outcomes that cannot be reproduced without GPU fine-tuning runs or
 # hosted training jobs; covered by shape-level tests and the live
@@ -55,23 +51,6 @@ AGGREGATE_CSV = "aggregate.csv"
 
 # Evaluation decodes deterministically, whatever the synthesis temperature.
 EVAL_TEMPERATURE = 0.0
-
-EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
-
-
-@dataclass(frozen=True)
-class ModelUnderTest:
-    label: str
-    gateway: GatewayConfig
-    model_id: str
-    system_prompt: str
-    max_output_tokens: int = 512
-
-    def __post_init__(self):
-        if not self.label:
-            raise ValueError("label must be non-empty")
-        if not self.system_prompt:
-            raise ValueError("system_prompt must be non-empty")
 
 
 @dataclass
@@ -109,38 +88,28 @@ class EvalReport:
 
 
 def generate_responses(
-    model: ModelUnderTest,
-    samples: Sequence[QaSample],
-    transport: Optional[Transport] = None,
+    system_prompt: str, samples: Sequence[QaSample], chat: ChatFn
 ) -> list[tuple[str, Optional[str]]]:
     """One response per sample, in order; None marks a failed call."""
+    system = ChatMessage("system", system_prompt)
     if not samples:
         raise ValueError("validation samples must be non-empty")
     responses: list[tuple[str, Optional[str]]] = []
     for sample in samples:
-        request = CompletionRequest(
-            model_id=model.model_id,
-            messages=(
-                ChatMessage("system", model.system_prompt),
-                ChatMessage("user", sample.question),
-            ),
-            temperature=EVAL_TEMPERATURE,
-            max_output_tokens=model.max_output_tokens,
-        )
+        messages = [system, ChatMessage("user", sample.question)]
         try:
-            completion = complete_chat(model.gateway, request, transport)
-            responses.append((sample.sample_id, completion.content))
+            responses.append((sample.sample_id, chat(messages, EVAL_TEMPERATURE)))
         except GatewayError as exc:
             logger.warning("response for %s failed: %s", sample.sample_id, exc)
             responses.append((sample.sample_id, None))
     return responses
 
 
-def pct_conversational(records: Sequence[EvalRecord], threshold: float = DEFAULT_THRESHOLD) -> float:
-    """Share of records at or above the threshold, as a one-decimal percentage."""
+def pct_conversational(records: Sequence[EvalRecord]) -> float:
+    """Share of records flagged conversational, as a one-decimal percentage."""
     if not records:
         raise ValueError("records must be non-empty")
-    passing = sum(1 for r in records if r.flesch_score >= threshold)
+    passing = sum(1 for r in records if r.is_conversational)
     return round(100.0 * passing / len(records), 1)
 
 
@@ -169,7 +138,7 @@ def build_report(
     model_label: str,
     samples: Sequence[QaSample],
     responses: Sequence[tuple[str, Optional[str]]],
-    threshold: float = DEFAULT_THRESHOLD,
+    threshold: float = CONVERSATIONAL_THRESHOLD,
     embed: Optional[EmbedFn] = None,
     training_set_size: Optional[int] = None,
 ) -> EvalReport:
@@ -201,7 +170,7 @@ def build_report(
                 expected_answer=sample.answer_simplified,
                 generated_answer=generated,
                 flesch_score=stats.flesch_score,
-                is_conversational=stats.flesch_score >= threshold,
+                is_conversational=is_conversational(stats, threshold),
             )
         )
     embedding_failures = 0
@@ -216,7 +185,7 @@ def build_report(
         model_label=model_label,
         threshold=threshold,
         n_samples=len(records),
-        pct_conversational=pct_conversational(records, threshold),
+        pct_conversational=pct_conversational(records),
         mean_semantic_similarity=mean_similarity,
         missing_count=missing,
         embedding_failure_count=embedding_failures,

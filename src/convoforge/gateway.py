@@ -289,7 +289,7 @@ def complete_chat(
             prompt_tokens=int(usage.get("prompt_tokens", 0)),
             completion_tokens=int(usage.get("completion_tokens", 0)),
         )
-    except (TypeError, KeyError, IndexError, ValueError) as exc:
+    except (TypeError, KeyError, IndexError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed completion body: {_excerpt(body)}") from exc
     if not isinstance(completion.content, str):
         raise ProtocolError(f"completion content is not text: {_excerpt(body)}")
@@ -318,7 +318,7 @@ def embed_texts(
     try:
         rows = sorted(body["data"], key=lambda row: row["index"])
         vectors = [EmbeddingVector.from_iterable(row["embedding"]) for row in rows]
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed embeddings body: {_excerpt(body)}") from exc
     if len(vectors) != len(texts):
         raise ProtocolError(

@@ -26,6 +26,7 @@ __all__ = [
     "count_syllables",
     "flesch_reading_ease",
     "is_conversational",
+    "CONVERSATIONAL_THRESHOLD",
 ]
 
 
@@ -389,6 +390,10 @@ def flesch_reading_ease(text: str) -> TextStats:
     )
 
 
-def is_conversational(stats: TextStats, threshold: float = 60.0) -> bool:
+# Default conversational cutoff for eval; a score exactly at it passes.
+CONVERSATIONAL_THRESHOLD = 60.0
+
+
+def is_conversational(stats: TextStats, threshold: float = CONVERSATIONAL_THRESHOLD) -> bool:
     """True when the score meets or exceeds the threshold (inclusive)."""
     return stats.flesch_score >= threshold

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, SimFns
+from convoforge.cli import _chat_fn
 from convoforge.dedup import EmbeddingVector, QuestionIndex
 from convoforge.evalharness import (
     NOT_DESK_REPRODUCIBLE,
-    ModelUnderTest,
     build_report,
     emit_report,
     generate_responses,
@@ -291,18 +291,15 @@ def test_criterion_8_gpu_outcomes_declared_not_reproduced():
         base_url="https://checkpoint.example.invalid",
         api_key_env_name="CHECKPOINT_KEY",
     )
-    model = ModelUnderTest(
-        label="finetuned-checkpoint", gateway=gateway, model_id="ft-model",
-        system_prompt=CONCISE_FINETUNE_PROMPT,
-    )
     samples = make_samples(3)
     transport = TranscriptTransport([
         {"status": 200, "body": {"choices": [{"message": {
             "role": "assistant", "content": CONVERSATIONAL_TEXT}}]}}
         for _ in samples
     ])
-    responses = generate_responses(model, samples, transport)
-    report = build_report(model.label, samples, responses)
+    chat = _chat_fn(gateway, "ft-model", 512, transport)
+    responses = generate_responses(CONCISE_FINETUNE_PROMPT, samples, chat)
+    report = build_report("finetuned-checkpoint", samples, responses)
     assert report.complete_run
     assert report.pct_conversational == 100.0
     print("criterion 8: PASS (scope declared, live-endpoint path exercised)")

@@ -7,7 +7,7 @@ import pytest
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
 from conftest import DATA_DIR
-from convoforge.gateway import TranscriptTransport
+from convoforge.gateway import CHAT_PATH, TranscriptTransport
 from convoforge.simulate import SimulatedModelTransport
 
 
@@ -171,6 +171,7 @@ def eval_config_text(run_dir, extra_models=""):
         "      profile: sim\n"
         "      model: sim-chat-ft\n"
         "      system_prompt_preset: concise-finetune\n"
+        "      max_output_tokens: 256\n"
         "      training_set_size: 9000\n"
         + extra_models
         + "paths:\n"
@@ -179,11 +180,20 @@ def eval_config_text(run_dir, extra_models=""):
     )
 
 
+class RecordingTransport(SimulatedModelTransport):
+    def __init__(self):
+        self.requests = []
+
+    def post(self, path, payload):
+        self.requests.append((path, payload))
+        return super().post(path, payload)
+
+
 class TestEval:
     def test_writes_all_three_reports(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"
         config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
-        sim = SimulatedModelTransport()
+        sim = RecordingTransport()
         code, out, _ = run_cli(
             capsys, "eval", "--config", str(config), "--similarity",
             transport_factory=lambda profile, gw: sim,
@@ -194,6 +204,13 @@ class TestEval:
             assert (eval_dir / name).exists()
         assert "base:" in out and "tuned:" in out
         assert "% conversational" in out
+        # each chat request carries its model's id, token cap and eval temperature
+        chats = [payload for path, payload in sim.requests if path == CHAT_PATH]
+        max_tokens = {"sim-chat": 512, "sim-chat-ft": 256}
+        assert [p["model"] for p in chats] == ["sim-chat"] * 42 + ["sim-chat-ft"] * 42
+        for payload in chats:
+            assert payload["max_tokens"] == max_tokens[payload["model"]]
+            assert payload["temperature"] == 0.0
 
     def test_model_flag_controls_row_order(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"

@@ -168,6 +168,11 @@ class TestEvalSection:
         with pytest.raises(ConfigError, match="unique"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_empty_label_rejected(self, tmp_path):
+        text = FULL_CONFIG.replace("label: base", 'label: ""')
+        with pytest.raises(ConfigError, match="eval model #0: label must be non-empty"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_preset_and_literal_prompt_conflict(self, tmp_path):
         text = FULL_CONFIG.replace(
             "      system_prompt_preset: verbose-base",

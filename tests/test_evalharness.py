@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convoforge.cli import _chat_fn
 from convoforge.dedup import EmbeddingVector
 from convoforge.evalharness import (
     NOT_DESK_REPRODUCIBLE,
     EvalRecord,
     EvalReport,
-    ModelUnderTest,
     build_report,
     emit_report,
     generate_responses,
@@ -96,20 +96,18 @@ def chat_step(content: str) -> dict:
     }
 
 
-def model_under_test(**overrides) -> ModelUnderTest:
-    kwargs = dict(
-        label="test-model", gateway=GATEWAY, model_id="m-1",
-        system_prompt="Answer briefly.",
-    )
-    kwargs.update(overrides)
-    return ModelUnderTest(**kwargs)
+SYSTEM_PROMPT = "Answer briefly."
+
+
+def chat_over(transport):
+    return _chat_fn(GATEWAY, "m-1", 512, transport)
 
 
 class TestGenerateResponses:
     def test_responses_stay_in_sample_order(self):
         samples = make_samples(3)
         transport = TranscriptTransport([chat_step(f"reply {i}") for i in range(3)])
-        responses = generate_responses(model_under_test(), samples, transport)
+        responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
         assert responses == [("qa-0", "reply 0"), ("qa-1", "reply 1"), ("qa-2", "reply 2")]
         # every request carries the system prompt and eval decoding temperature
         for _, payload in transport.requests:
@@ -123,14 +121,20 @@ class TestGenerateResponses:
             {"status": 500, "body": "broken"},
             chat_step("ok three"),
         ])
-        responses = generate_responses(model_under_test(), samples, transport)
+        responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
         assert responses[0] == ("qa-0", "ok one")
         assert responses[1] == ("qa-1", None)
         assert responses[2] == ("qa-2", "ok three")
 
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            generate_responses(model_under_test(), [], TranscriptTransport([]))
+            generate_responses(SYSTEM_PROMPT, [], chat_over(TranscriptTransport([])))
+
+    def test_empty_system_prompt_rejected_before_any_call(self):
+        transport = TranscriptTransport([chat_step("unused")])
+        with pytest.raises(ValueError, match="system"):
+            generate_responses("", make_samples(1), chat_over(transport))
+        assert transport.requests == []
 
 
 class TestPctConversational:
@@ -344,9 +348,3 @@ class TestScopeDeclaration:
         joined = " ".join(NOT_DESK_REPRODUCIBLE)
         assert "fine-tuned" in joined
         assert "int8" in joined
-
-    def test_model_under_test_validation(self):
-        with pytest.raises(ValueError):
-            model_under_test(label="")
-        with pytest.raises(ValueError):
-            model_under_test(system_prompt="")

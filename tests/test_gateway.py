@@ -113,6 +113,26 @@ class TestCompleteChat:
             complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
 
 
+class TestOutOfRangeNumbers:
+    # 1e400 loads as inf and an integer of 401 digits overflows float64;
+    # either must fail the one call, not escape as OverflowError.
+    @pytest.mark.parametrize("call, raw_body", [
+        (
+            lambda t: complete_chat(CONFIG, request_for(), t, sleep=NO_SLEEP),
+            '{"choices": [{"message": {"role": "assistant", "content": "hi"}}],'
+            ' "usage": {"prompt_tokens": 1e400}}',
+        ),
+        (
+            lambda t: embed_texts(CONFIG, "emb", ["only"], t, sleep=NO_SLEEP),
+            '{"data": [{"index": 0, "embedding": [1' + "0" * 400 + ', 1.0]}]}',
+        ),
+    ], ids=["chat-usage", "embed-component"])
+    def test_overflow_is_a_protocol_error(self, call, raw_body):
+        transport = TranscriptTransport([{"status": 200, "body": json.loads(raw_body)}])
+        with pytest.raises(ProtocolError, match="malformed"):
+            call(transport)
+
+
 class TestRequestValidation:
     def test_empty_messages_fail_before_any_network_io(self):
         with pytest.raises(ValueError, match="messages"):
