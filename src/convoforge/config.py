@@ -155,13 +155,16 @@ def load_run_config(path) -> RunConfig:
             if not entry["label"]:
                 raise ConfigError(f"{source}: label must be non-empty")
             size = entry.get("training_set_size")
+            tokens = entry.get("max_output_tokens", 512)
+            if not str(tokens).isdigit() or int(tokens) < 1:
+                raise ConfigError(f"{source}: max_output_tokens must be >= 1, got {tokens!r}")
             models.append(
                 EvalModelSpec(
                     label=entry["label"],
                     profile=entry.get("profile", generation_profile),
                     model_id=entry["model"],
                     system_prompt=_resolve_system_prompt(entry, source),
-                    max_output_tokens=int(entry.get("max_output_tokens", 512)),
+                    max_output_tokens=int(tokens),
                     training_set_size=None if size is None else int(size),
                 )
             )
@@ -217,7 +220,8 @@ pipeline:                # dataset synthesis constants
   target_samples: int          default 10000
   validation_size: int         default 1000
   subset_sizes: [int]          default [100, 1000, 5000, 9000]
-  concurrency_limit: int       default 8
+  concurrency_limit: int       default 8; caps model calls in flight (up to
+                               4x as many finished sections await in-order use)
   random_seed: int             default 1234
   generation_temperature: float  default 0.7
   max_output_tokens: int       default 1024

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -79,7 +79,10 @@ class EvalReport:
     records: list[EvalRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Records hold only scalars, so shallow copies equal asdict's deep ones.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["records"] = [dict(vars(r)) for r in self.records]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":

@@ -8,9 +8,9 @@ of four outcomes, so accepted + discarded_readability +
 rejected_duplicate + generation_error always equals the number of
 sections consumed.
 
-Workers run concurrently, but results are consumed in submission order
-and all dedup decisions and file appends happen on one serial stage, so
-a fixed seed gives a bit-identical run.
+Workers run concurrently through ordered_map, but results are consumed
+in submission order and all dedup decisions and file appends happen on
+one serial stage, so a fixed seed gives a bit-identical run.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import json
 import logging
 import random
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import prompts
 from .dedup import EmbeddingVector, QuestionIndex, load_index, save_index
@@ -43,6 +44,10 @@ INDEX_FILENAME = "index.tsv"
 ChatFn = Callable[[Sequence[ChatMessage], float], str]
 # (texts) -> one embedding per text, order preserved.
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
+
+# ordered_map keeps up to _AHEAD * limit items submitted, so a slow head does not
+# idle the other workers, and at most that many finished results wait behind it.
+_AHEAD = 4
 
 
 class QaParseError(Exception):
@@ -123,6 +128,8 @@ class PipelineConfig:
             raise ValueError("min_section_chars must be >= 0")
         if not 0 < self.dedup_threshold <= 1:
             raise ValueError("dedup_threshold must be in (0, 1]")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
 
 
 @dataclass
@@ -332,6 +339,26 @@ def _process_section(
     return trace, candidate
 
 
+def ordered_map(fn: Callable, items: Iterable, limit: int) -> Iterator:
+    """Yield fn(item) for every item, in order, with at most `limit` calls running.
+
+    Up to _AHEAD * limit items are submitted ahead of the one being consumed.
+    When the caller closes the generator early or an exception propagates,
+    queued calls are cancelled and running ones joined before it returns.
+    """
+    pool = ThreadPoolExecutor(max_workers=limit)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= _AHEAD * limit:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 @dataclass
 class PipelineResult:
     manifest: dict
@@ -380,7 +407,9 @@ def run_pipeline(
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
     With resume=True, previously consumed sections are skipped and
-    existing outputs are extended.
+    existing outputs are extended. concurrency_limit caps the model calls
+    in flight; up to _AHEAD x concurrency_limit finished sections may wait
+    for in-order consumption.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,32 +433,19 @@ def run_pipeline(
             if stale_path.exists():
                 stale_path.unlink()
 
+    def work(section: CorpusSection):
+        return _process_section(section, config, chat, embed, qa_template, simplify_template)
+
     traces: list[GenerationTrace] = []
     mode = "a" if resume else "w"
     with open(out_dir / SAMPLES_FILENAME, mode, encoding="utf-8") as samples_fh, \
             open(out_dir / TRACES_FILENAME, mode, encoding="utf-8") as traces_fh, \
-            ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-        section_iter = iter(sections)
-        window: deque[Future] = deque()
-
-        def submit_next() -> bool:
-            try:
-                section = next(section_iter)
-            except StopIteration:
-                return False
-            window.append(pool.submit(
-                _process_section, section, config, chat, embed,
-                qa_template, simplify_template,
-            ))
-            return True
-
-        for _ in range(config.concurrency_limit):
-            if not submit_next():
+            closing(ordered_map(work, sections, config.concurrency_limit)) as results:
+        while len(samples) < config.target_samples:
+            result = next(results, None)
+            if result is None:
                 break
-
-        while window and len(samples) < config.target_samples:
-            trace, candidate = window.popleft().result()
-            submit_next()
+            trace, candidate = result
             if candidate is not None:
                 sample, embedding = candidate
                 decision = index.check_and_insert(sample.sample_id, embedding)
@@ -445,10 +461,6 @@ def run_pipeline(
             counts[trace.outcome] += 1
             traces.append(trace)
             traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
-
-        for leftover in window:
-            leftover.cancel()
-        pool.shutdown(wait=True, cancel_futures=True)
 
     save_index(index, out_dir / INDEX_FILENAME)
 

@@ -121,6 +121,22 @@ class TestSynthErrors:
         assert code == 2
         assert "corpus" in err
 
+    def test_zero_max_output_tokens_fails_before_touching_outputs(self, capsys, tmp_path):
+        config = write_dryrun_config(tmp_path)
+        config.write_text(
+            config.read_text("utf-8").replace("pipeline:\n", "pipeline:\n  max_output_tokens: 0\n"),
+            encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("samples.jsonl", "traces.jsonl"):
+            (run_dir / name).write_text("previous\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 2
+        assert "max_output_tokens" in err
+        for name in ("samples.jsonl", "traces.jsonl"):
+            assert (run_dir / name).read_text("utf-8") == "previous\n"
+
     def test_missing_api_key_names_the_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("ABSENT_SYNTH_KEY", raising=False)
         config = tmp_path / "live.yaml"

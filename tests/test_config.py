@@ -87,6 +87,11 @@ class TestLoading:
         with pytest.raises(ConfigError, match="pipeline"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_zero_pipeline_max_output_tokens_fails_at_load(self, tmp_path):
+        text = "pipeline:\n  max_output_tokens: 0\n"
+        with pytest.raises(ConfigError, match="pipeline section: max_output_tokens"):
+            load_run_config(write_config(tmp_path, text))
+
 
 class TestSecrets:
     def test_api_key_env_stays_a_variable_name(self, tmp_path, monkeypatch):
@@ -172,6 +177,24 @@ class TestEvalSection:
         text = FULL_CONFIG.replace("label: base", 'label: ""')
         with pytest.raises(ConfigError, match="eval model #0: label must be non-empty"):
             load_run_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("tokens", ["0", "-5", "lots", "1.5", "true"])
+    def test_max_output_tokens_must_be_a_positive_integer(self, tmp_path, tokens):
+        text = FULL_CONFIG.replace(
+            "      training_set_size: 9000\n",
+            f"      training_set_size: 9000\n      max_output_tokens: {tokens}\n",
+        )
+        with pytest.raises(ConfigError, match="eval model #1: max_output_tokens must be >= 1"):
+            load_run_config(write_config(tmp_path, text))
+
+    def test_max_output_tokens_may_come_from_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EVAL_MAX_TOKENS", "256")
+        text = FULL_CONFIG.replace(
+            "      training_set_size: 9000\n",
+            "      training_set_size: 9000\n      max_output_tokens: ${EVAL_MAX_TOKENS}\n",
+        )
+        cfg = load_run_config(write_config(tmp_path, text))
+        assert [m.max_output_tokens for m in cfg.eval_models] == [512, 256]
 
     def test_preset_and_literal_prompt_conflict(self, tmp_path):
         text = FULL_CONFIG.replace(

@@ -2,11 +2,15 @@
 
 import json
 import logging
+import re
+import threading
+import time
 
 import pytest
 
 from convoforge.gateway import NetworkError
 from convoforge.pipeline import (
+    _AHEAD,
     OUTCOMES,
     CorpusSection,
     PipelineConfig,
@@ -15,6 +19,7 @@ from convoforge.pipeline import (
     export_finetune_file,
     generate_qa,
     ingest_corpus,
+    ordered_map,
     read_corpus_file,
     run_pipeline,
     simplify_until_pass,
@@ -56,6 +61,21 @@ class ScriptedChat:
 
 def section_for(text="A plain test section.", section_id="sec-t-1") -> CorpusSection:
     return CorpusSection(section_id=section_id, text=text, char_length=len(text))
+
+
+# A section's first chat call is its QA prompt, which quotes the section
+# text; every fixture section text opens with "Section <id>.".
+QA_SECTION_RE = re.compile(r"\bSection (sec-[a-z-]+-\d+)\.")
+
+
+def section_started(messages):
+    """The section id when this is a QA prompt, else None."""
+    match = QA_SECTION_RE.search(messages[-1].content)
+    return match.group(1) if match else None
+
+
+def shuffled_ids(records) -> list[str]:
+    return [s.section_id for s in ingest_corpus(records, PipelineConfig()).sections]
 
 
 class TestIngest:
@@ -342,6 +362,155 @@ class TestRunPipeline:
         assert {r["outcome"] for r in records} == set(OUTCOMES)
         for record in records:
             assert list(record) == expected, record["outcome"]
+
+    def test_slow_head_does_not_idle_the_other_workers(self, corpus50_records, tmp_path):
+        from conftest import SimFns
+
+        limit = 4
+        head = shuffled_ids(corpus50_records)[0]
+        fns = SimFns()
+        lock = threading.Lock()
+        started: set[str] = set()
+        others_running = threading.Event()
+        head_waits: list[bool] = []
+
+        def chat(messages, temperature):
+            section_id = section_started(messages)
+            if section_id is not None:
+                with lock:
+                    started.add(section_id)
+                    if len(started) >= limit + 2:
+                        others_running.set()
+            if section_id == head:
+                # Released only once other sections have started meanwhile.
+                head_waits.append(others_running.wait(timeout=5))
+            return fns.chat(messages, temperature)
+
+        run_pipeline(
+            PipelineConfig(concurrency_limit=limit), corpus50_records, chat, fns.embed,
+            tmp_path / "slow",
+        )
+        assert head_waits and all(head_waits)
+
+        serial = SimFns()
+        run_pipeline(
+            PipelineConfig(concurrency_limit=1), corpus50_records, serial.chat, serial.embed,
+            tmp_path / "serial",
+        )
+        for name in ("samples.jsonl", "index.tsv"):
+            assert (tmp_path / "slow" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes(), name
+
+    def test_target_stop_then_resume_equals_an_uninterrupted_run(
+        self, corpus50_records, tmp_path
+    ):
+        from conftest import SimFns
+
+        stopped_dir = tmp_path / "stopped"
+        first = SimFns()
+        stopped = run_pipeline(
+            tiny_config(target_samples=12), corpus50_records, first.chat, first.embed,
+            stopped_dir,
+        )
+        consumed = stopped.manifest["consumed_sections"]
+        assert len(stopped.samples) == 12
+        assert consumed < 50
+        assert sum(stopped.manifest["counts"].values()) == consumed
+        assert len(read_corpus_file(stopped_dir / "traces.jsonl")) == consumed
+
+        second = SimFns()
+        resumed = run_pipeline(
+            PipelineConfig(), corpus50_records, second.chat, second.embed,
+            stopped_dir, resume=True,
+        )
+        assert resumed.manifest["consumed_sections"] == 50
+        whole = SimFns()
+        run_pipeline(PipelineConfig(), corpus50_records, whole.chat, whole.embed, tmp_path / "whole")
+        for name in ("samples.jsonl", "index.tsv"):
+            assert (stopped_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_worker_error_propagates_after_running_work_is_joined(
+        self, corpus50_records, sim_fns, tmp_path
+    ):
+        limit = 3
+        positions = {sid: i for i, sid in enumerate(shuffled_ids(corpus50_records))}
+        failing = 3
+        lock = threading.Lock()
+        started: set[int] = set()
+        in_flight = [0]
+        failed = threading.Event()
+
+        def chat(messages, temperature):
+            position = positions.get(section_started(messages))
+            with lock:
+                if position is not None:
+                    started.add(position)
+                in_flight[0] += 1
+            try:
+                if position == failing:
+                    time.sleep(0.5)  # the other workers drain what was submitted
+                    failed.set()
+                    raise RuntimeError("injected worker fault")
+                if position == failing + 1:
+                    failed.wait(timeout=5)
+                    time.sleep(0.1)  # still running when the error propagates
+                return sim_fns.chat(messages, temperature)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        with pytest.raises(RuntimeError, match="injected worker fault"):
+            run_pipeline(
+                PipelineConfig(concurrency_limit=limit), corpus50_records, chat,
+                sim_fns.embed, tmp_path,
+            )
+        assert in_flight[0] == 0
+        assert {failing, failing + 1} <= started
+        assert max(started) <= failing + _AHEAD * limit
+
+
+class TestOrderedMap:
+    def test_results_keep_submission_order_with_at_most_limit_running(self):
+        limit = 3
+        lock = threading.Lock()
+        running = [0, 0]  # now, peak
+
+        def fn(i):
+            with lock:
+                running[0] += 1
+                running[1] = max(running[1], running[0])
+            time.sleep(0.001 * (i % 5))
+            with lock:
+                running[0] -= 1
+            return i * i
+
+        assert list(ordered_map(fn, range(60), limit)) == [i * i for i in range(60)]
+        assert running[1] <= limit
+
+    def test_close_cancels_queued_calls_and_joins_running_ones(self):
+        release = threading.Event()
+        started: list[int] = []
+        finished: list[int] = []
+
+        def fn(i):
+            started.append(i)
+            if i == 1:
+                release.wait(timeout=5)
+            finished.append(i)
+            return i
+
+        results = ordered_map(fn, range(100), 1)
+        assert next(results) == 0
+        timer = threading.Timer(0.5, release.set)
+        timer.start()
+        try:
+            results.close()
+        finally:
+            timer.join(timeout=5)
+        assert not timer.is_alive()
+        assert started == finished
+        assert set(started) <= {0, 1}
 
 
 def make_samples(n: int) -> list[QaSample]:
