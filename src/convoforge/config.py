@@ -87,6 +87,14 @@ def _interpolate(value, source: str):
     return value
 
 
+def _positive_int(raw: dict, key: str, source: str, default=None) -> int:
+    # A YAML int or a ${VAR} string. isdecimal, not isdigit: int() rejects "²".
+    value = raw.get(key, default)
+    if not str(value).isdecimal() or int(value) < 1:
+        raise ConfigError(f"{source}: {key} must be >= 1, got {value!r}")
+    return int(value)
+
+
 def _resolve_system_prompt(raw: dict, source: str) -> str:
     preset_name = raw.get("system_prompt_preset")
     literal = raw.get("system_prompt")
@@ -118,8 +126,12 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     raw = _interpolate(raw, str(path))
 
+    section = raw.get("pipeline", {})
+    if isinstance(section, dict) and "max_output_tokens" in section:
+        source = f"{path}: pipeline section"
+        section["max_output_tokens"] = _positive_int(section, "max_output_tokens", source)
     try:
-        pipeline = PipelineConfig(**raw.get("pipeline", {}))
+        pipeline = PipelineConfig(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: pipeline section: {exc}") from exc
 
@@ -155,16 +167,13 @@ def load_run_config(path) -> RunConfig:
             if not entry["label"]:
                 raise ConfigError(f"{source}: label must be non-empty")
             size = entry.get("training_set_size")
-            tokens = entry.get("max_output_tokens", 512)
-            if not str(tokens).isdigit() or int(tokens) < 1:
-                raise ConfigError(f"{source}: max_output_tokens must be >= 1, got {tokens!r}")
             models.append(
                 EvalModelSpec(
                     label=entry["label"],
                     profile=entry.get("profile", generation_profile),
                     model_id=entry["model"],
                     system_prompt=_resolve_system_prompt(entry, source),
-                    max_output_tokens=int(tokens),
+                    max_output_tokens=_positive_int(entry, "max_output_tokens", source, 512),
                     training_set_size=None if size is None else int(size),
                 )
             )
@@ -221,7 +230,7 @@ pipeline:                # dataset synthesis constants
   validation_size: int         default 1000
   subset_sizes: [int]          default [100, 1000, 5000, 9000]
   concurrency_limit: int       default 8; caps model calls in flight (up to
-                               4x as many finished sections await in-order use)
+                               2x as many finished sections await in-order use)
   random_seed: int             default 1234
   generation_temperature: float  default 0.7
   max_output_tokens: int       default 1024

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -80,9 +80,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         # Records hold only scalars, so shallow copies equal asdict's deep ones.
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["records"] = [dict(vars(r)) for r in self.records]
-        return payload
+        return {**vars(self), "records": [dict(vars(r)) for r in self.records]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":

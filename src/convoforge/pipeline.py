@@ -8,9 +8,9 @@ of four outcomes, so accepted + discarded_readability +
 rejected_duplicate + generation_error always equals the number of
 sections consumed.
 
-Workers run concurrently through ordered_map, but results are consumed
-in submission order and all dedup decisions and file appends happen on
-one serial stage, so a fixed seed gives a bit-identical run.
+Workers run at most concurrency_limit model calls at once; up to _AHEAD x
+that many finished sections wait for in-order consumption by one serial
+stage of dedup decisions and file appends, so a fixed seed is bit-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -45,9 +46,8 @@ ChatFn = Callable[[Sequence[ChatMessage], float], str]
 # (texts) -> one embedding per text, order preserved.
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
-# ordered_map keeps up to _AHEAD * limit items submitted, so a slow head does not
-# idle the other workers, and at most that many finished results wait behind it.
-_AHEAD = 4
+# Depth 2 matched 4 on synth-latency's placeholder latencies; no real traffic set it.
+_AHEAD = 2
 
 
 class QaParseError(Exception):
@@ -128,8 +128,6 @@ class PipelineConfig:
             raise ValueError("min_section_chars must be >= 0")
         if not 0 < self.dedup_threshold <= 1:
             raise ValueError("dedup_threshold must be in (0, 1]")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
 
 
 @dataclass
@@ -339,21 +337,22 @@ def _process_section(
     return trace, candidate
 
 
-def ordered_map(fn: Callable, items: Iterable, limit: int) -> Iterator:
-    """Yield fn(item) for every item, in order, with at most `limit` calls running.
+def ordered_map(fn: Callable, items: Iterable, limit: int, wanted: Callable[[], int]) -> Iterator:
+    """Yield fn(item) for each item, in order, until wanted() reaches 0.
 
-    Up to _AHEAD * limit items are submitted ahead of the one being consumed.
-    When the caller closes the generator early or an exception propagates,
-    queued calls are cancelled and running ones joined before it returns.
+    At most `limit` calls run at once. Up to max(limit, min(_AHEAD * limit,
+    wanted())) items are submitted ahead, so a slow head does not idle the
+    other workers and a stop drops at most limit - 1 started items. On close
+    or an exception, queued calls are cancelled and running ones joined.
     """
     pool = ThreadPoolExecutor(max_workers=limit)
+    items, pending = iter(items), deque()
     try:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= _AHEAD * limit:
-                yield pending.popleft().result()
-        while pending:
+        while (want := wanted()) > 0:
+            depth = max(limit, min(_AHEAD * limit, want))
+            pending.extend(pool.submit(fn, x) for x in islice(items, max(0, depth - len(pending))))
+            if not pending:
+                return
             yield pending.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -407,9 +406,7 @@ def run_pipeline(
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
     With resume=True, previously consumed sections are skipped and
-    existing outputs are extended. concurrency_limit caps the model calls
-    in flight; up to _AHEAD x concurrency_limit finished sections may wait
-    for in-order consumption.
+    existing outputs are extended.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -440,12 +437,9 @@ def run_pipeline(
     mode = "a" if resume else "w"
     with open(out_dir / SAMPLES_FILENAME, mode, encoding="utf-8") as samples_fh, \
             open(out_dir / TRACES_FILENAME, mode, encoding="utf-8") as traces_fh, \
-            closing(ordered_map(work, sections, config.concurrency_limit)) as results:
-        while len(samples) < config.target_samples:
-            result = next(results, None)
-            if result is None:
-                break
-            trace, candidate = result
+            closing(ordered_map(work, sections, config.concurrency_limit,
+                                lambda: config.target_samples - len(samples))) as results:
+        for trace, candidate in results:
             if candidate is not None:
                 sample, embedding = candidate
                 decision = index.check_and_insert(sample.sample_id, embedding)

@@ -87,10 +87,16 @@ class TestLoading:
         with pytest.raises(ConfigError, match="pipeline"):
             load_run_config(write_config(tmp_path, text))
 
-    def test_zero_pipeline_max_output_tokens_fails_at_load(self, tmp_path):
-        text = "pipeline:\n  max_output_tokens: 0\n"
-        with pytest.raises(ConfigError, match="pipeline section: max_output_tokens"):
+    @pytest.mark.parametrize("tokens", ["0", "lots", "²"])
+    def test_bad_pipeline_max_output_tokens_fails_at_load(self, tmp_path, tokens):
+        text = f"pipeline:\n  max_output_tokens: {tokens}\n"
+        with pytest.raises(ConfigError, match="pipeline section: max_output_tokens must be >= 1"):
             load_run_config(write_config(tmp_path, text))
+
+    def test_pipeline_max_output_tokens_may_come_from_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SYNTH_MAX_TOKENS", "256")
+        text = "pipeline:\n  max_output_tokens: ${SYNTH_MAX_TOKENS}\n"
+        assert load_run_config(write_config(tmp_path, text)).pipeline.max_output_tokens == 256
 
 
 class TestSecrets:
@@ -178,7 +184,7 @@ class TestEvalSection:
         with pytest.raises(ConfigError, match="eval model #0: label must be non-empty"):
             load_run_config(write_config(tmp_path, text))
 
-    @pytest.mark.parametrize("tokens", ["0", "-5", "lots", "1.5", "true"])
+    @pytest.mark.parametrize("tokens", ["0", "-5", "lots", "1.5", "true", "²", "①"])
     def test_max_output_tokens_must_be_a_positive_integer(self, tmp_path, tokens):
         text = FULL_CONFIG.replace(
             "      training_set_size: 9000\n",

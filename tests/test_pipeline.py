@@ -430,6 +430,38 @@ class TestRunPipeline:
         for name in ("samples.jsonl", "index.tsv"):
             assert (stopped_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
+    def test_target_stop_drops_at_most_limit_minus_one_sections(self, corpus50_records, tmp_path):
+        from conftest import SimFns
+
+        def counted_run(limit):
+            fns = SimFns()
+            lock = threading.Lock()
+            started: set[str] = set()
+            calls = [0]
+
+            def chat(messages, temperature):
+                section_id = section_started(messages)
+                with lock:
+                    calls[0] += 1
+                    if section_id is not None:
+                        started.add(section_id)
+                return fns.chat(messages, temperature)
+
+            result = run_pipeline(
+                tiny_config(target_samples=12, concurrency_limit=limit), corpus50_records,
+                chat, fns.embed, tmp_path / str(limit),
+            )
+            assert len(result.samples) == 12
+            return result.manifest["consumed_sections"], len(started), calls[0]
+
+        consumed, started, calls = counted_run(limit=8)
+        serial_consumed, serial_started, serial_calls = counted_run(limit=1)
+        assert consumed == serial_consumed == serial_started
+        # Only the window still open at the last needed sample is paid for and dropped.
+        assert started <= consumed + 8 - 1
+        max_calls_per_section = 1 + PipelineConfig().max_attempts
+        assert calls <= serial_calls + (started - consumed) * max_calls_per_section
+
     def test_worker_error_propagates_after_running_work_is_joined(
         self, corpus50_records, sim_fns, tmp_path
     ):
@@ -485,7 +517,7 @@ class TestOrderedMap:
                 running[0] -= 1
             return i * i
 
-        assert list(ordered_map(fn, range(60), limit)) == [i * i for i in range(60)]
+        assert list(ordered_map(fn, range(60), limit, lambda: 60)) == [i * i for i in range(60)]
         assert running[1] <= limit
 
     def test_close_cancels_queued_calls_and_joins_running_ones(self):
@@ -500,7 +532,7 @@ class TestOrderedMap:
             finished.append(i)
             return i
 
-        results = ordered_map(fn, range(100), 1)
+        results = ordered_map(fn, range(100), 1, lambda: 100)
         assert next(results) == 0
         timer = threading.Timer(0.5, release.set)
         timer.start()
