@@ -238,7 +238,8 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
         gateway = cfg.gateway_for(spec.profile)
         transport = _make_transport(spec.profile, gateway, transport_factory)
         chat = _chat_fn(gateway, spec.model_id, spec.max_output_tokens, transport)
-        responses = generate_responses(spec.system_prompt, samples, chat)
+        responses = generate_responses(spec.system_prompt, samples, chat,
+                                       cfg.pipeline.concurrency_limit)
         report = build_report(
             spec.label, samples, responses, threshold,
             embed=embed, training_set_size=spec.training_set_size,

@@ -127,9 +127,9 @@ def load_run_config(path) -> RunConfig:
     raw = _interpolate(raw, str(path))
 
     section = raw.get("pipeline", {})
-    if isinstance(section, dict) and "max_output_tokens" in section:
-        source = f"{path}: pipeline section"
-        section["max_output_tokens"] = _positive_int(section, "max_output_tokens", source)
+    for key in ("max_attempts", "concurrency_limit", "max_output_tokens"):
+        if isinstance(section, dict) and key in section:
+            section[key] = _positive_int(section, key, f"{path}: pipeline section")
     try:
         pipeline = PipelineConfig(**section)
     except (TypeError, ValueError) as exc:
@@ -229,8 +229,9 @@ pipeline:                # dataset synthesis constants
   target_samples: int          default 10000
   validation_size: int         default 1000
   subset_sizes: [int]          default [100, 1000, 5000, 9000]
-  concurrency_limit: int       default 8; caps model calls in flight (up to
-                               2x as many finished sections await in-order use)
+  concurrency_limit: int       default 8; caps model calls in flight, in synth
+                               and in each eval model's replay (up to 2x as
+                               many finished results await in-order use)
   random_seed: int             default 1234
   generation_temperature: float  default 0.7
   max_output_tokens: int       default 1024

@@ -4,8 +4,10 @@ Runs a model endpoint over the held-out validation questions and
 reports two numbers per model: the percentage of responses whose
 reading-ease score clears the conversational threshold (60 by default,
 inclusive) and the mean cosine similarity between each response and the
-expected answer. Per-sample failures never abort a run; they are
-excluded from the metrics with explicit counts, and any run with
+expected answer. Each model's chat calls run through pipeline.ordered_map,
+so concurrency_limit also caps that model's calls in flight, while the
+responses keep sample order. Per-sample failures never abort a run; they
+are excluded from the metrics with explicit counts, and any run with
 missing responses is flagged as incomplete.
 
 Quality outcomes that require GPU training or hosted fine-tuning jobs
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 from .dedup import cosine_similarity
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
 from .gateway import ChatMessage, GatewayError, complete_chat, embed_texts  # noqa: F401
-from .pipeline import ChatFn, EmbedFn, QaSample
+from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
 from .textmetrics import (
     CONVERSATIONAL_THRESHOLD,
     UnscorableTextError,
@@ -89,21 +91,23 @@ class EvalReport:
 
 
 def generate_responses(
-    system_prompt: str, samples: Sequence[QaSample], chat: ChatFn
+    system_prompt: str, samples: Sequence[QaSample], chat: ChatFn, limit: int = 1
 ) -> list[tuple[str, Optional[str]]]:
-    """One response per sample, in order; None marks a failed call."""
+    """One response per sample, in order, with at most `limit` calls in
+    flight; None marks a failed call."""
     system = ChatMessage("system", system_prompt)
     if not samples:
         raise ValueError("validation samples must be non-empty")
-    responses: list[tuple[str, Optional[str]]] = []
-    for sample in samples:
+
+    def respond(sample: QaSample) -> tuple[str, Optional[str]]:
         messages = [system, ChatMessage("user", sample.question)]
         try:
-            responses.append((sample.sample_id, chat(messages, EVAL_TEMPERATURE)))
+            return sample.sample_id, chat(messages, EVAL_TEMPERATURE)
         except GatewayError as exc:
             logger.warning("response for %s failed: %s", sample.sample_id, exc)
-            responses.append((sample.sample_id, None))
-    return responses
+            return sample.sample_id, None
+
+    return list(ordered_map(respond, samples, limit))
 
 
 def pct_conversational(records: Sequence[EvalRecord]) -> float:

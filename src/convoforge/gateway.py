@@ -185,7 +185,9 @@ class TranscriptTransport:
     The canned-response format used by every offline test: each post()
     consumes the next step in order, optionally sleeping `delay`
     seconds to simulate latency. Issued requests are recorded for
-    assertions.
+    assertions. Under concurrency (synth, or eval at concurrency_limit
+    above 1) steps are served in arrival order, not matched to requests;
+    a test that needs per-request replies uses a content-keyed fake.
     """
 
     def __init__(self, steps: Sequence[dict]):

@@ -120,10 +120,6 @@ class PipelineConfig:
                     f"subset size {size} exceeds training pool "
                     f"{training_pool} (target_samples - validation_size)"
                 )
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.concurrency_limit < 1:
-            raise ValueError("concurrency_limit must be >= 1")
         if self.min_section_chars < 0:
             raise ValueError("min_section_chars must be >= 0")
         if not 0 < self.dedup_threshold <= 1:
@@ -337,18 +333,20 @@ def _process_section(
     return trace, candidate
 
 
-def ordered_map(fn: Callable, items: Iterable, limit: int, wanted: Callable[[], int]) -> Iterator:
+def ordered_map(fn: Callable, items: Iterable, limit: int,
+                wanted: Optional[Callable[[], int]] = None) -> Iterator:
     """Yield fn(item) for each item, in order, until wanted() reaches 0.
 
     At most `limit` calls run at once. Up to max(limit, min(_AHEAD * limit,
     wanted())) items are submitted ahead, so a slow head does not idle the
-    other workers and a stop drops at most limit - 1 started items. On close
-    or an exception, queued calls are cancelled and running ones joined.
+    other workers and a stop drops at most limit - 1 started items; with
+    wanted None, every item is wanted. On close or an exception, queued
+    calls are cancelled and running ones joined.
     """
     pool = ThreadPoolExecutor(max_workers=limit)
     items, pending = iter(items), deque()
     try:
-        while (want := wanted()) > 0:
+        while (want := _AHEAD * limit if wanted is None else wanted()) > 0:
             depth = max(limit, min(_AHEAD * limit, want))
             pending.extend(pool.submit(fn, x) for x in islice(items, max(0, depth - len(pending))))
             if not pending:

@@ -26,8 +26,9 @@ from .gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 
 EMBEDDING_DIM = 64
 
-_SECTION_RE = re.compile(r"\bSection (sec-[a-z]+-\d+)\b")
-_QUESTION_RE = re.compile(r"\brecord about (sec-[a-z]+-\d+)\b")
+_SECTION_ID = r"sec-[a-z]+(?:-[a-z]+)*-\d+"
+_SECTION_RE = re.compile(rf"\bSection ({_SECTION_ID})\b")
+_QUESTION_RE = re.compile(rf"\brecord about ({_SECTION_ID})\b")
 _ROUND_RE = re.compile(r"\bround (\d+)\b")
 
 _DUP_QUESTION = "What does the shared duplicate record describe?"

@@ -228,6 +228,29 @@ class TestEval:
             assert payload["max_tokens"] == max_tokens[payload["model"]]
             assert payload["temperature"] == 0.0
 
+    def test_reports_keep_their_bytes_at_any_concurrency_limit(self, capsys, synthesized_run):
+        reports = {}
+        for limit in (1, 8):
+            config = synthesized_run / f"eval-{limit}.yaml"
+            config.write_text(
+                eval_config_text(synthesized_run).replace(
+                    "pipeline:\n", f"pipeline:\n  concurrency_limit: {limit}\n"
+                ),
+                encoding="utf-8",
+            )
+            out_dir = synthesized_run / f"eval-{limit}"
+            sim = SimulatedModelTransport()
+            code, _, _ = run_cli(
+                capsys, "eval", "--config", str(config), "--similarity",
+                "--out", str(out_dir), transport_factory=lambda profile, gw: sim,
+            )
+            assert code == 0
+            reports[limit] = {
+                name: (out_dir / name).read_bytes()
+                for name in ("report.json", "records.csv", "aggregate.csv")
+            }
+        assert reports[1] == reports[8]
+
     def test_model_flag_controls_row_order(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"
         config.write_text(eval_config_text(synthesized_run), encoding="utf-8")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from convoforge import cli
 from convoforge.config import CONFIG_SCHEMA, ConfigError, load_run_config
 from convoforge.gateway import GatewayConfig
 from convoforge.pipeline import PipelineConfig
@@ -92,6 +93,22 @@ class TestLoading:
         text = f"pipeline:\n  max_output_tokens: {tokens}\n"
         with pytest.raises(ConfigError, match="pipeline section: max_output_tokens must be >= 1"):
             load_run_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["concurrency_limit", "max_attempts"])
+    @pytest.mark.parametrize("value", ["0", "lots", "²"])
+    def test_bad_pipeline_count_fails_at_load(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, f"pipeline:\n  {key}: {value}\n")
+        with pytest.raises(ConfigError, match=f"pipeline section: {key} must be >= 1"):
+            load_run_config(path)
+        assert cli.main(["synth", "--config", str(path), "--dry-run"]) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["concurrency_limit", "max_attempts"])
+    def test_pipeline_count_may_come_from_the_environment(self, tmp_path, monkeypatch, key):
+        monkeypatch.setenv("PIPELINE_COUNT", "8")
+        text = f"pipeline:\n  {key}: ${{PIPELINE_COUNT}}\n"
+        pipeline = load_run_config(write_config(tmp_path, text)).pipeline
+        assert getattr(pipeline, key) == 8
 
     def test_pipeline_max_output_tokens_may_come_from_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SYNTH_MAX_TOKENS", "256")

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -19,8 +21,8 @@ from convoforge.evalharness import (
     load_report_json,
     pct_conversational,
 )
-from convoforge.gateway import GatewayConfig, TranscriptTransport
-from convoforge.pipeline import QaSample
+from convoforge.gateway import GatewayConfig, NetworkError, TranscriptTransport
+from convoforge.pipeline import _AHEAD, QaSample
 
 GATEWAY = GatewayConfig(
     base_url="https://eval.test.invalid", api_key_env_name="EVAL_TEST_KEY",
@@ -135,6 +137,98 @@ class TestGenerateResponses:
         with pytest.raises(ValueError, match="system"):
             generate_responses("", make_samples(1), chat_over(transport))
         assert transport.requests == []
+
+
+def reply_to(question: str) -> str:
+    # Content-keyed: the reply depends on the question, not on call order.
+    return f"You asked {question} Here is a short reply."
+
+
+class TestConcurrentResponses:
+    def test_slow_head_does_not_idle_the_other_workers(self):
+        limit = 4
+        samples = make_samples(30)
+        lock = threading.Lock()
+        started: set[str] = set()
+        others_running = threading.Event()
+        head_waits: list[bool] = []
+
+        def chat(messages, temperature):
+            question = messages[-1].content
+            with lock:
+                started.add(question)
+                if len(started) >= limit + 2:
+                    others_running.set()
+            if question == samples[0].question:
+                # Released only once other questions have started meanwhile.
+                head_waits.append(others_running.wait(timeout=5))
+            return reply_to(question)
+
+        responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=limit)
+        assert head_waits == [True]
+        assert responses == [(s.sample_id, reply_to(s.question)) for s in samples]
+
+    def test_failures_are_keyed_by_content(self):
+        samples = make_samples(40)
+        failing = {"qa-0", "qa-9", "qa-10", "qa-23", "qa-39"}
+        by_question = {s.question: s.sample_id for s in samples}
+
+        def chat(messages, temperature):
+            question = messages[-1].content
+            if by_question[question] in failing:
+                raise NetworkError(f"injected failure for {question}")
+            time.sleep(0.001 * (len(question) % 3))  # calls finish out of order
+            return CONVERSATIONAL_TEXT
+
+        def flaky_embed(texts):
+            if texts[0] == CONVERSATIONAL_TEXT and texts[1] == "Simple answer 5.":
+                raise NetworkError("injected embedding failure")
+            return fake_embed_identical(texts)
+
+        responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=8)
+        assert [sid for sid, _ in responses] == [s.sample_id for s in samples]
+        assert {sid for sid, reply in responses if reply is None} == failing
+        report = build_report("m", samples, responses, embed=flaky_embed)
+        assert report.missing_count == len(failing)
+        assert report.embedding_failure_count == 1
+        assert (
+            report.n_samples + report.missing_count + report.embedding_failure_count
+            == report.validation_size == 40
+        )
+
+    def test_other_errors_propagate_after_running_calls_are_joined(self):
+        limit = 3
+        samples = make_samples(40)
+        positions = {s.question: i for i, s in enumerate(samples)}
+        failing = 3
+        lock = threading.Lock()
+        started: set[int] = set()
+        in_flight = [0]
+        failed = threading.Event()
+
+        def chat(messages, temperature):
+            position = positions[messages[-1].content]
+            with lock:
+                started.add(position)
+                in_flight[0] += 1
+            try:
+                if position == failing:
+                    time.sleep(0.5)  # the other workers drain what was submitted
+                    failed.set()
+                    raise RuntimeError("injected chat fault")
+                if position == failing + 1:
+                    failed.wait(timeout=5)
+                    time.sleep(0.1)  # still running when the error propagates
+                return CONVERSATIONAL_TEXT
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        with pytest.raises(RuntimeError, match="injected chat fault"):
+            generate_responses(SYSTEM_PROMPT, samples, chat, limit=limit)
+        assert in_flight[0] == 0
+        assert {failing, failing + 1} <= started
+        assert max(started) <= failing + _AHEAD * limit
 
 
 class TestPctConversational:

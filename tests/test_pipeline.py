@@ -245,6 +245,21 @@ class TestRunPipeline:
         assert trace.nearest_id != f"qa-{trace.section_id}"
         assert trace.nearest_similarity == pytest.approx(1.0)
 
+    def test_duplicate_sections_share_the_simulated_question(
+        self, corpus50_records, sim_fns, tmp_path
+    ):
+        from convoforge.simulate import _DUP_QUESTION
+
+        result = run_pipeline(
+            PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
+        )
+        dup_a = [s for s in result.samples if s.section_id == "sec-dup-a-001"]
+        assert [s.question for s in dup_a] == [_DUP_QUESTION]
+        dup_b = [t for t in result.traces if t.section_id == "sec-dup-b-001"]
+        assert [t.outcome for t in dup_b] == ["rejected_duplicate"]
+        assert dup_b[0].nearest_id == "qa-sec-dup-a-001"
+        assert dup_b[0].nearest_similarity == pytest.approx(1.0)
+
     def test_accepted_samples_pass_the_gate_when_rescored(
         self, corpus50_records, sim_fns, tmp_path
     ):
@@ -517,7 +532,8 @@ class TestOrderedMap:
                 running[0] -= 1
             return i * i
 
-        assert list(ordered_map(fn, range(60), limit, lambda: 60)) == [i * i for i in range(60)]
+        # wanted=None: every item is wanted
+        assert list(ordered_map(fn, range(60), limit)) == [i * i for i in range(60)]
         assert running[1] <= limit
 
     def test_close_cancels_queued_calls_and_joins_running_ones(self):
