@@ -4,7 +4,7 @@ Commands: score, synth, eval, export, dedup-check. Exit codes separate
 failure classes so scripts can branch on them: 0 success (including a
 partial dataset, which is flagged, not failed), 1 generic failure, 2
 configuration problems (bad file, missing API-key variable), 3 violated
-preconditions, 4 network trouble.
+preconditions, 4 network trouble or a rejected API key.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import prompts
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
-from .dedup import find_violations, load_index
+from .dedup import DEDUP_THRESHOLD, find_violations, load_index
 from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
@@ -35,8 +35,8 @@ from .gateway import (
 from .pipeline import (
     INDEX_FILENAME,
     SAMPLES_FILENAME,
-    QaSample,
     export_finetune_file,
+    load_samples,
     read_corpus_file,
     run_pipeline,
     split_dataset,
@@ -196,14 +196,10 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
     for outcome, count in sorted(result.manifest["counts"].items()):
         print(f"{outcome}: {count}")
     print(f"samples: {result.manifest['sample_count']}")
-    if result.shortfall:
+    if result.manifest["shortfall"]:
         print("warning: corpus exhausted before the sample target; dataset is partial")
-    print(f"artifacts: {result.out_dir}")
+    print(f"artifacts: {out_dir}")
     return EXIT_OK
-
-
-def _load_samples(path) -> list[QaSample]:
-    return [QaSample.from_record(record) for record in read_corpus_file(path)]
 
 
 def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
@@ -211,7 +207,7 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
     validation_path = args.validation or cfg.paths.validation
     if not validation_path:
         raise ConfigError(f"{args.config}: paths.validation is required for eval")
-    samples = _load_samples(validation_path)
+    samples = load_samples(validation_path)
     if not samples:
         raise ValueError(f"validation file {validation_path} is empty")
     threshold = args.threshold if args.threshold is not None else cfg.eval_threshold
@@ -266,7 +262,7 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
 def cmd_export(args) -> int:
     cfg = load_run_config(args.config)
     dataset = args.dataset or str(Path(cfg.paths.output_dir) / SAMPLES_FILENAME)
-    samples = _load_samples(dataset)
+    samples = load_samples(dataset)
     valid_sizes = sorted(cfg.pipeline.subset_sizes)
     if args.size not in cfg.pipeline.subset_sizes:
         raise ValueError(f"unknown subset size {args.size}; valid sizes: {valid_sizes}")
@@ -293,7 +289,7 @@ def cmd_dedup_check(args) -> int:
     if index_path is None:
         raise ValueError("--index is required when no --config is given")
     if threshold is None:
-        threshold = 0.8
+        threshold = DEDUP_THRESHOLD
     index = load_index(index_path, threshold=threshold)
     violations = find_violations(index)
     if not violations:

@@ -1,8 +1,9 @@
 """Run configuration: one commented YAML file per experiment.
 
 Secrets never live in the file; gateway entries name the environment
-variable that holds the key (api_key_env). Other string values may use
-${VAR} interpolation, resolved at load time.
+variable that holds the key (api_key_env). Other values may use ${VAR}
+interpolation, resolved at load time; an int or float field reads the
+result as its number.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .gateway import GatewayConfig
+from .gateway import GatewayConfig, check_fields
 from .pipeline import PipelineConfig
 from .prompts import PRESETS
 from .textmetrics import CONVERSATIONAL_THRESHOLD
@@ -39,6 +40,11 @@ class EvalModelSpec:
     system_prompt: str
     max_output_tokens: int = 512
     training_set_size: Optional[int] = None
+
+    def __post_init__(self):
+        check_fields(self, positive=("max_output_tokens", "training_set_size"))
+        if not self.label:
+            raise ValueError("label must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -87,12 +93,30 @@ def _interpolate(value, source: str):
     return value
 
 
-def _positive_int(raw: dict, key: str, source: str, default=None) -> int:
-    # A YAML int or a ${VAR} string. isdecimal, not isdigit: int() rejects "²".
-    value = raw.get(key, default)
-    if not str(value).isdecimal() or int(value) < 1:
-        raise ConfigError(f"{source}: {key} must be >= 1, got {value!r}")
-    return int(value)
+def _as_type(value, hint):
+    """`value` as `hint` where it reads as one (a ${VAR} number, an int for a
+    float); anything else unchanged, for the dataclass's check to reject."""
+    if get_origin(hint) is Union:  # Optional[X]
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple and isinstance(value, list):
+        return [_as_type(v, get_args(hint)[0]) for v in value]
+    if hint in (int, float) and isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return hint(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _read(cls, values, source: str):
+    """`cls` built from the mapping `values`, each read as its field's type."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{source} must be a mapping")
+    hints = get_type_hints(cls)
+    try:
+        return cls(**{key: _as_type(value, hints.get(key)) for key, value in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _resolve_system_prompt(raw: dict, source: str) -> str:
@@ -126,37 +150,28 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     raw = _interpolate(raw, str(path))
 
-    section = raw.get("pipeline", {})
-    for key in ("max_attempts", "concurrency_limit", "max_output_tokens"):
-        if isinstance(section, dict) and key in section:
-            section[key] = _positive_int(section, key, f"{path}: pipeline section")
-    try:
-        pipeline = PipelineConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: pipeline section: {exc}") from exc
+    pipeline = _read(PipelineConfig, raw.get("pipeline", {}), f"{path}: pipeline section")
 
     gateways: dict[str, GatewayConfig] = {}
     for name, entry in (raw.get("gateways") or {}).items():
+        source = f"{path}: gateway {name!r}"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: gateway {name!r} must be a mapping")
+            raise ConfigError(f"{source} must be a mapping")
         entry = dict(entry)
         api_key_env = entry.pop("api_key_env", None)
         if api_key_env is None:
-            raise ConfigError(f"{path}: gateway {name!r} must set api_key_env (a variable name)")
-        try:
-            gateways[name] = GatewayConfig(api_key_env_name=api_key_env, **entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: gateway {name!r}: {exc}") from exc
+            raise ConfigError(f"{source} must set api_key_env (a variable name)")
+        gateways[name] = _read(GatewayConfig, {"api_key_env_name": api_key_env, **entry}, source)
 
     run = raw.get("run") or {}
     generation_profile = run.get("generation_profile", "default")
     embedding_profile = run.get("embedding_profile", generation_profile)
 
     eval_raw = raw.get("eval") or {}
-    threshold = float(eval_raw.get("threshold", CONVERSATIONAL_THRESHOLD))
-    if not 0 < threshold <= MAX_FLESCH_SCORE:
+    threshold = _as_type(eval_raw.get("threshold", CONVERSATIONAL_THRESHOLD), float)
+    if not isinstance(threshold, float) or not 0 < threshold <= MAX_FLESCH_SCORE:
         raise ConfigError(
-            f"{path}: eval threshold must be in (0, {MAX_FLESCH_SCORE}], got {threshold}"
+            f"{path}: eval threshold must be in (0, {MAX_FLESCH_SCORE}], got {threshold!r}"
         )
     models = []
     for i, entry in enumerate(eval_raw.get("models") or []):
@@ -164,21 +179,16 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{source} must be a mapping")
         try:
-            if not entry["label"]:
-                raise ConfigError(f"{source}: label must be non-empty")
-            size = entry.get("training_set_size")
-            models.append(
-                EvalModelSpec(
-                    label=entry["label"],
-                    profile=entry.get("profile", generation_profile),
-                    model_id=entry["model"],
-                    system_prompt=_resolve_system_prompt(entry, source),
-                    max_output_tokens=_positive_int(entry, "max_output_tokens", source, 512),
-                    training_set_size=None if size is None else int(size),
-                )
-            )
+            values = {
+                "label": entry["label"],
+                "profile": entry.get("profile", generation_profile),
+                "model_id": entry["model"],
+                "system_prompt": _resolve_system_prompt(entry, source),
+            }
         except KeyError as exc:
             raise ConfigError(f"{source}: missing required key {exc}") from exc
+        values.update({k: entry[k] for k in ("max_output_tokens", "training_set_size") if k in entry})
+        models.append(_read(EvalModelSpec, values, source))
     labels = [m.label for m in models]
     if len(labels) != len(set(labels)):
         raise ConfigError(f"{path}: eval model labels must be unique")
@@ -217,7 +227,8 @@ def load_run_config(path) -> RunConfig:
 
 
 CONFIG_SCHEMA = """\
-configuration file schema (YAML, comments allowed, ${VAR} interpolation):
+configuration file schema (YAML, comments allowed, ${VAR} interpolation;
+an int or float field reads its ${VAR} as a number, e.g. random_seed: ${SEED}):
 
 pipeline:                # dataset synthesis constants
   generation_model: str        chat model id for QA generation

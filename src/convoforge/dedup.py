@@ -24,6 +24,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+# Default dedup cutoff for synth and dedup-check; a cosine exactly at it passes.
+DEDUP_THRESHOLD = 0.8
+
 
 @dataclass(frozen=True)
 class EmbeddingVector:
@@ -80,7 +83,7 @@ class QuestionIndex:
     pipeline funnels all dedup decisions through one ordered stage.
     """
 
-    def __init__(self, threshold: float = 0.8):
+    def __init__(self, threshold: float = DEDUP_THRESHOLD):
         if not 0 < threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
         self._threshold = threshold
@@ -96,12 +99,6 @@ class QuestionIndex:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def entries(self) -> list[tuple[str, EmbeddingVector]]:
-        return [
-            (sample_id, EmbeddingVector.from_iterable(row.tolist()))
-            for sample_id, row in zip(self._ids, self._rows)
-        ]
 
     def _prepare(self, sample_id: str, vector: EmbeddingVector) -> tuple[np.ndarray, float]:
         if sample_id in self._id_set:
@@ -160,7 +157,7 @@ def save_index(index: QuestionIndex, path) -> None:
             fh.write(f"{sample_id}\t{decimals}\n")
 
 
-def load_index(path, threshold: float = 0.8) -> QuestionIndex:
+def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:
     index = QuestionIndex(threshold=threshold)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

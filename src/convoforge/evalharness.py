@@ -6,9 +6,10 @@ reading-ease score clears the conversational threshold (60 by default,
 inclusive) and the mean cosine similarity between each response and the
 expected answer. Each model's chat calls run through pipeline.ordered_map,
 so concurrency_limit also caps that model's calls in flight, while the
-responses keep sample order. Per-sample failures never abort a run; they
-are excluded from the metrics with explicit counts, and any run with
-missing responses is flagged as incomplete.
+responses keep sample order. A failed call (network or protocol) never
+aborts a run; its sample is excluded from the metrics with an explicit
+count, and any run with missing responses is flagged as incomplete. A
+rejected API key does abort it.
 
 Quality outcomes that require GPU training or hosted fine-tuning jobs
 are out of desk-scale reach by nature; NOT_DESK_REPRODUCIBLE names
@@ -26,8 +27,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dedup import cosine_similarity
+from .gateway import ChatMessage, NetworkError, ProtocolError
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
-from .gateway import ChatMessage, GatewayError, complete_chat, embed_texts  # noqa: F401
+from .gateway import complete_chat, embed_texts  # noqa: F401
 from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
 from .textmetrics import (
     CONVERSATIONAL_THRESHOLD,
@@ -84,11 +86,6 @@ class EvalReport:
         # Records hold only scalars, so shallow copies equal asdict's deep ones.
         return {**vars(self), "records": [dict(vars(r)) for r in self.records]}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        records = [EvalRecord(**r) for r in payload.pop("records", [])]
-        return cls(records=records, **payload)
-
 
 def generate_responses(
     system_prompt: str, samples: Sequence[QaSample], chat: ChatFn, limit: int = 1
@@ -103,7 +100,7 @@ def generate_responses(
         messages = [system, ChatMessage("user", sample.question)]
         try:
             return sample.sample_id, chat(messages, EVAL_TEMPERATURE)
-        except GatewayError as exc:
+        except (NetworkError, ProtocolError) as exc:
             logger.warning("response for %s failed: %s", sample.sample_id, exc)
             return sample.sample_id, None
 
@@ -131,7 +128,7 @@ def semantic_similarity_report(
             )
             record.semantic_similarity = cosine_similarity(generated_vec, expected_vec)
             kept.append(record)
-        except (GatewayError, ValueError) as exc:
+        except (NetworkError, ProtocolError, ValueError) as exc:
             failures += 1
             logger.warning("embedding for %s failed: %s", record.sample_id, exc)
     sims = [r.semantic_similarity for r in kept]
@@ -243,8 +240,3 @@ def emit_report(reports: Sequence[EvalReport], directory) -> dict[str, Path]:
             )
             writer.writerow([report.model_label, size, f"{report.pct_conversational:.1f}", sim])
     return paths
-
-
-def load_report_json(path) -> list[EvalReport]:
-    with open(path, encoding="utf-8") as fh:
-        return [EvalReport.from_dict(item) for item in json.load(fh)]

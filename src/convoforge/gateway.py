@@ -14,8 +14,10 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import (
+    Callable, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints,
+)
 
 import requests
 
@@ -95,16 +97,28 @@ class CompletionRequest:
             "max_tokens": self.max_output_tokens,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CompletionRequest":
-        return cls(
-            model_id=payload["model"],
-            messages=tuple(
-                ChatMessage(m["role"], m["content"]) for m in payload["messages"]
-            ),
-            temperature=payload["temperature"],
-            max_output_tokens=payload["max_tokens"],
-        )
+
+def check_fields(obj, positive: Sequence[str] = ()) -> None:
+    """Raise ValueError naming the first field of dataclass `obj` not of its
+    declared type (a bool is not a number), or in `positive` and below 1."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if name in positive and value is not None and not (_has_type(value, int) and value >= 1):
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if not _has_type(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"{name} must be of type {expected}, got {value!r}")
+
+
+def _has_type(value, hint) -> bool:
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return any(_has_type(value, arg) for arg in args)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,7 @@ class GatewayConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if not self.base_url:
             raise ValueError("base_url must be non-empty")
         if not self.api_key_env_name:
@@ -192,30 +207,19 @@ class TranscriptTransport:
 
     def __init__(self, steps: Sequence[dict]):
         self._steps = list(steps)
-        self._cursor = 0
         self._lock = threading.Lock()
         self.requests: list[tuple[str, dict]] = []
-
-    @classmethod
-    def from_file(cls, path) -> "TranscriptTransport":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def post(self, path: str, payload: dict) -> TransportResponse:
         with self._lock:
             self.requests.append((path, payload))
-            if self._cursor >= len(self._steps):
+            if len(self.requests) > len(self._steps):
                 raise ProtocolError("transcript exhausted: no response scripted for this request")
-            step = self._steps[self._cursor]
-            self._cursor += 1
+            step = self._steps[len(self.requests) - 1]
         delay = step.get("delay", 0)
         if delay:
             time.sleep(delay)
         return TransportResponse(status=step["status"], body=step["body"])
-
-    @property
-    def consumed(self) -> int:
-        return self._cursor
 
 
 def _excerpt(body: object, limit: int = 200) -> str:
@@ -270,7 +274,7 @@ def _send_with_retry(
 def complete_chat(
     config: GatewayConfig,
     request: CompletionRequest,
-    transport: Optional[Transport] = None,
+    transport: Transport,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ChatCompletion:
     """Send one chat request and return the first choice's text.
@@ -279,8 +283,6 @@ def complete_chat(
     assistant message verbatim, with token usage when the endpoint
     reports it.
     """
-    if transport is None:
-        transport = HttpTransport(config)
     response = _send_with_retry(config, transport, CHAT_PATH, request.to_payload(), sleep)
     body = response.body
     try:
@@ -304,7 +306,7 @@ def embed_texts(
     config: GatewayConfig,
     model_id: str,
     texts: Sequence[str],
-    transport: Optional[Transport] = None,
+    transport: Transport,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[EmbeddingVector]:
     """Embed `texts`, preserving order; one vector per input."""
@@ -312,8 +314,6 @@ def embed_texts(
         raise ValueError("texts must be non-empty")
     if any(not t for t in texts):
         raise ValueError("every text to embed must be non-empty")
-    if transport is None:
-        transport = HttpTransport(config)
     payload = {"model": model_id, "input": list(texts)}
     response = _send_with_retry(config, transport, EMBEDDINGS_PATH, payload, sleep)
     body = response.body

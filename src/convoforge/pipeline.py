@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import prompts
-from .dedup import EmbeddingVector, QuestionIndex, load_index, save_index
-from .gateway import ChatMessage, GatewayError
+from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
+from .gateway import ChatMessage, NetworkError, ProtocolError, check_fields
 from .textmetrics import UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -58,12 +58,6 @@ class QaParseError(Exception):
 class CorpusSection:
     section_id: str
     text: str
-    char_length: int
-    source_url: Optional[str] = None
-
-    def __post_init__(self):
-        if self.char_length != len(self.text):
-            raise ValueError("char_length must equal len(text)")
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class PipelineConfig:
     min_section_chars: int = 700
     accept_threshold: float = 75.0
     max_attempts: int = 3
-    dedup_threshold: float = 0.8
+    dedup_threshold: float = DEDUP_THRESHOLD
     target_samples: int = 10000
     validation_size: int = 1000
     subset_sizes: tuple[int, ...] = (100, 1000, 5000, 9000)
@@ -110,7 +104,9 @@ class PipelineConfig:
     max_output_tokens: int = 1024
 
     def __post_init__(self):
-        object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
+        if isinstance(self.subset_sizes, list):
+            object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
+        check_fields(self, positive=("max_attempts", "concurrency_limit", "max_output_tokens"))
         if self.validation_size >= self.target_samples:
             raise ValueError("validation_size must be smaller than target_samples")
         training_pool = self.target_samples - self.validation_size
@@ -164,21 +160,14 @@ def read_corpus_file(path) -> list[dict]:
     return records
 
 
-def ingest_corpus(
-    records: Iterable[Mapping],
-    config: PipelineConfig,
-    shuffle: bool = True,
-) -> IngestResult:
-    """Filter raw records down to usable sections.
+def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestResult:
+    """Filter raw records down to usable sections, in a seeded shuffle order.
 
-    Records are materialized so the seeded shuffle can run; relative
-    order is otherwise preserved. Records without a usable text field
-    are skipped with a warning, short sections are dropped silently per
-    the length floor.
+    Records without a usable text field are skipped with a warning, short
+    sections are dropped silently per the length floor.
     """
     materialized = list(records)
-    if shuffle:
-        random.Random(config.random_seed).shuffle(materialized)
+    random.Random(config.random_seed).shuffle(materialized)
     result = IngestResult(sections=[])
     for position, record in enumerate(materialized):
         text = record.get("text") if isinstance(record, Mapping) else None
@@ -190,14 +179,7 @@ def ingest_corpus(
             result.excluded_short += 1
             continue
         section_id = record.get("id") or record.get("section_id") or f"sec{position:06d}"
-        result.sections.append(
-            CorpusSection(
-                section_id=str(section_id),
-                text=text,
-                char_length=len(text),
-                source_url=record.get("url"),
-            )
-        )
+        result.sections.append(CorpusSection(section_id=str(section_id), text=text))
     return result
 
 
@@ -238,47 +220,33 @@ def generate_qa(
     raise QaParseError(f"unparseable QA output after retry: {raw[:200]!r}")
 
 
-@dataclass
-class SimplifyResult:
-    accepted: bool
-    attempt_scores: list[float]
-    answer_simplified: Optional[str] = None
-    flesch_score: Optional[float] = None
-    attempts_used: Optional[int] = None
-
-
 def simplify_until_pass(
     question: str,
     answer_original: str,
     config: PipelineConfig,
     chat: ChatFn,
     template: str = prompts.SIMPLIFY_TEMPLATE,
-) -> SimplifyResult:
+) -> tuple[list[float], Optional[str]]:
     """Step 2: rephrase until the score clears the gate, else discard.
 
-    The first passing attempt is kept; once an attempt passes, no
-    further calls are issued. Attempts after the first feed back the
-    latest rephrase so each round simplifies further.
+    Returns every attempt's score and the first passing answer, or None
+    when no attempt passes; once an attempt passes, no further calls are
+    issued. Attempts after the first feed back the latest rephrase so
+    each round simplifies further.
     """
     if not question or not answer_original:
         raise ValueError("question and answer_original must be non-empty")
     current = answer_original
     scores: list[float] = []
-    for attempt in range(1, config.max_attempts + 1):
+    for _ in range(config.max_attempts):
         prompt = template.format(question=question, answer=current)
         candidate = chat([ChatMessage("user", prompt)], config.generation_temperature)
         score = flesch_reading_ease(candidate).flesch_score
         scores.append(score)
         if score >= config.accept_threshold:
-            return SimplifyResult(
-                accepted=True,
-                attempt_scores=scores,
-                answer_simplified=candidate,
-                flesch_score=score,
-                attempts_used=attempt,
-            )
+            return scores, candidate
         current = candidate
-    return SimplifyResult(accepted=False, attempt_scores=scores)
+    return scores, None
 
 
 def _utc_now() -> str:
@@ -305,29 +273,30 @@ def _process_section(
     candidate = None
     try:
         question, answer_original = generate_qa(section, config, chat, qa_template)
-        simplified = simplify_until_pass(
+        scores, simplified = simplify_until_pass(
             question, answer_original, config, chat, simplify_template
         )
-        trace.attempt_scores = simplified.attempt_scores
-        if not simplified.accepted:
+        trace.attempt_scores = scores
+        if simplified is None:
             trace.outcome = "discarded_readability"
         else:
             sample = QaSample(
                 sample_id=f"qa-{section.section_id}",
                 question=question,
                 answer_original=answer_original,
-                answer_simplified=simplified.answer_simplified,
-                flesch_score=simplified.flesch_score,
-                attempts_used=simplified.attempts_used,
+                answer_simplified=simplified,
+                flesch_score=scores[-1],
+                attempts_used=len(scores),
                 section_id=section.section_id,
             )
             try:
                 # Embedding is paid only for gate-passing samples, right before
                 # the dedup decision.
                 candidate = (sample, embed([question])[0])
-            except GatewayError as exc:
+            except (NetworkError, ProtocolError) as exc:
                 trace.error = f"embedding failed: {exc}"
-    except (QaParseError, GatewayError, UnscorableTextError) as exc:
+    # Per-call failures end only this section; a rejected key ends the run.
+    except (QaParseError, NetworkError, ProtocolError, UnscorableTextError) as exc:
         trace.error = str(exc)
     trace.finished_at = _utc_now()
     return trace, candidate
@@ -360,19 +329,17 @@ def ordered_map(fn: Callable, items: Iterable, limit: int,
 class PipelineResult:
     manifest: dict
     samples: list[QaSample]
-    traces: list[GenerationTrace]
-    out_dir: Path
-    shortfall: bool
+
+
+def load_samples(path) -> list[QaSample]:
+    return [QaSample.from_record(record) for record in read_corpus_file(path)]
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
-    samples: list[QaSample] = []
+    samples_path = out_dir / SAMPLES_FILENAME
+    samples = load_samples(samples_path) if samples_path.exists() else []
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
-    samples_path = out_dir / SAMPLES_FILENAME
-    if samples_path.exists():
-        for record in read_corpus_file(samples_path):
-            samples.append(QaSample.from_record(record))
     traces_path = out_dir / TRACES_FILENAME
     if traces_path.exists():
         for record in read_corpus_file(traces_path):
@@ -404,37 +371,25 @@ def run_pipeline(
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
     With resume=True, previously consumed sections are skipped and
-    existing outputs are extended.
+    existing outputs are extended; otherwise all four artifacts are
+    deleted first, so nothing of an earlier run is extended.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not resume:
+        for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME):
+            (out_dir / name).unlink(missing_ok=True)
 
     ingest = ingest_corpus(records, config)
-    sections = ingest.sections
-    if limit is not None:
-        sections = sections[:limit]
-
-    if resume:
-        samples, consumed, counts, index = _load_resume_state(out_dir, config)
-        sections = [s for s in sections if s.section_id not in consumed]
-        consumed_before = len(consumed)
-    else:
-        samples = []
-        counts = {outcome: 0 for outcome in OUTCOMES}
-        index = QuestionIndex(threshold=config.dedup_threshold)
-        consumed_before = 0
-        for stale in (SAMPLES_FILENAME, TRACES_FILENAME):
-            stale_path = out_dir / stale
-            if stale_path.exists():
-                stale_path.unlink()
+    samples, consumed, counts, index = _load_resume_state(out_dir, config)
+    sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]
+    consumed_sections = len(consumed)
 
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
 
-    traces: list[GenerationTrace] = []
-    mode = "a" if resume else "w"
-    with open(out_dir / SAMPLES_FILENAME, mode, encoding="utf-8") as samples_fh, \
-            open(out_dir / TRACES_FILENAME, mode, encoding="utf-8") as traces_fh, \
+    with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
+            open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
             closing(ordered_map(work, sections, config.concurrency_limit,
                                 lambda: config.target_samples - len(samples))) as results:
         for trace, candidate in results:
@@ -451,7 +406,7 @@ def run_pipeline(
                     trace.nearest_id = decision.nearest_id
                     trace.nearest_similarity = decision.nearest_similarity
             counts[trace.outcome] += 1
-            traces.append(trace)
+            consumed_sections += 1
             traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
 
     save_index(index, out_dir / INDEX_FILENAME)
@@ -465,7 +420,7 @@ def run_pipeline(
     manifest = {
         "config": _config_echo(config),
         "counts": dict(counts),
-        "consumed_sections": consumed_before + len(traces),
+        "consumed_sections": consumed_sections,
         "skipped_missing_text": ingest.skipped_missing_text,
         "excluded_short": ingest.excluded_short,
         "sample_count": len(samples),
@@ -474,10 +429,7 @@ def run_pipeline(
     with open(out_dir / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return PipelineResult(
-        manifest=manifest, samples=samples, traces=traces,
-        out_dir=out_dir, shortfall=shortfall,
-    )
+    return PipelineResult(manifest=manifest, samples=samples)
 
 
 def _config_echo(config: PipelineConfig) -> dict:

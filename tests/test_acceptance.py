@@ -94,10 +94,10 @@ def test_criterion_2_threshold_boundaries():
     # the same comparison drives the simplify loop
     score = flesch_reading_ease(CONVERSATIONAL_TEXT).flesch_score
     config = PipelineConfig(accept_threshold=score)
-    result = simplify_until_pass(
+    scores, answer = simplify_until_pass(
         "Q?", "orig", config, lambda messages, temperature: CONVERSATIONAL_TEXT
     )
-    assert result.accepted and result.attempts_used == 1
+    assert answer == CONVERSATIONAL_TEXT and scores == [score]
 
     # dedup: similarity strictly above the threshold rejects; 0.80 exactly stays
     index = QuestionIndex(threshold=0.8)

@@ -1,13 +1,15 @@
 """Command-line surface: exit codes, dry runs, network isolation."""
 
 import json
+import threading
 
 import pytest
 
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
 from conftest import DATA_DIR
-from convoforge.gateway import CHAT_PATH, TranscriptTransport
+from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TranscriptTransport, TransportResponse
+from convoforge.pipeline import PipelineConfig
 from convoforge.simulate import SimulatedModelTransport
 
 
@@ -137,6 +139,19 @@ class TestSynthErrors:
         for name in ("samples.jsonl", "traces.jsonl"):
             assert (run_dir / name).read_text("utf-8") == "previous\n"
 
+    def test_wrongly_typed_setting_fails_before_touching_outputs(self, capsys, synthesized_run):
+        samples = synthesized_run / "run" / "samples.jsonl"
+        before = samples.read_bytes()
+        config = write_dryrun_config(synthesized_run)
+        config.write_text(
+            config.read_text("utf-8").replace("pipeline:\n", "pipeline:\n  accept_threshold: high\n"),
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 2
+        assert "pipeline section: accept_threshold" in err
+        assert samples.read_bytes() == before
+
     def test_missing_api_key_names_the_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("ABSENT_SYNTH_KEY", raising=False)
         config = tmp_path / "live.yaml"
@@ -203,6 +218,61 @@ class RecordingTransport(SimulatedModelTransport):
     def post(self, path, payload):
         self.requests.append((path, payload))
         return super().post(path, payload)
+
+
+class KeyRejectedOn(SimulatedModelTransport):
+    """Answers 401 on one path, as an endpoint does for a revoked key, and
+    counts those posts; serves every other request from the simulator."""
+
+    def __init__(self, path):
+        self.path = path
+        self.rejected = 0
+        self._lock = threading.Lock()
+
+    def post(self, path, payload):
+        if path != self.path:
+            return super().post(path, payload)
+        with self._lock:
+            self.rejected += 1
+        return TransportResponse(status=401, body={"error": "invalid api key"})
+
+
+class TestRejectedKey:
+    # At most _AHEAD x concurrency_limit calls are started before the first
+    # rejection reaches the consumer; none is started after it.
+    MAX_POSTS = 2 * PipelineConfig().concurrency_limit
+
+    @pytest.mark.parametrize("path", [CHAT_PATH, EMBEDDINGS_PATH])
+    def test_synth_stops_with_exit_4(self, capsys, tmp_path, path):
+        config = tmp_path / "live.yaml"
+        config.write_text(
+            eval_config_text(tmp_path) + f"  corpus: {DATA_DIR / 'corpus_50.jsonl'}\n",
+            encoding="utf-8",
+        )
+        transport = KeyRejectedOn(path)
+        code, _, err = run_cli(
+            capsys, "synth", "--config", str(config),
+            transport_factory=lambda profile, gw: transport,
+        )
+        assert code == 4
+        assert "HTTP 401" in err
+        assert 1 <= transport.rejected <= self.MAX_POSTS
+        traces = (tmp_path / "run" / "traces.jsonl").read_text("utf-8").splitlines()
+        assert not [line for line in traces if "401" in line]
+
+    @pytest.mark.parametrize("path", [CHAT_PATH, EMBEDDINGS_PATH])
+    def test_eval_stops_with_exit_4(self, capsys, synthesized_run, path):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        transport = KeyRejectedOn(path)
+        code, _, err = run_cli(
+            capsys, "eval", "--config", str(config), "--similarity",
+            transport_factory=lambda profile, gw: transport,
+        )
+        assert code == 4
+        assert "HTTP 401" in err
+        assert 1 <= transport.rejected <= self.MAX_POSTS
+        assert not (synthesized_run / "run" / "eval").exists()
 
 
 class TestEval:

@@ -2,12 +2,13 @@
 
 import dataclasses
 import os
+import typing
 from pathlib import Path
 
 import pytest
 
 from convoforge import cli
-from convoforge.config import CONFIG_SCHEMA, ConfigError, load_run_config
+from convoforge.config import CONFIG_SCHEMA, ConfigError, EvalModelSpec, load_run_config
 from convoforge.gateway import GatewayConfig
 from convoforge.pipeline import PipelineConfig
 
@@ -114,6 +115,85 @@ class TestLoading:
         monkeypatch.setenv("SYNTH_MAX_TOKENS", "256")
         text = "pipeline:\n  max_output_tokens: ${SYNTH_MAX_TOKENS}\n"
         assert load_run_config(write_config(tmp_path, text)).pipeline.max_output_tokens == 256
+
+
+
+TYPED_CONFIG = """\
+pipeline:
+  generation_model: chat-x
+  {PipelineConfig}
+gateways:
+  main:
+    base_url: https://example.invalid/v1
+    api_key_env: MAIN_GW_KEY
+    {GatewayConfig}
+run:
+  generation_profile: main
+eval:
+  models:
+    - label: base
+      model: chat-x
+      system_prompt_preset: verbose-base
+      {EvalModelSpec}
+"""
+
+# Each class's section name in load errors, and where its loaded instance sits.
+TYPED_SECTIONS = {
+    PipelineConfig: ("pipeline section", lambda cfg: cfg.pipeline),
+    GatewayConfig: ("gateway 'main'", lambda cfg: cfg.gateway_for("main")),
+    EvalModelSpec: ("eval model #0", lambda cfg: cfg.eval_models[0]),
+}
+NUMERIC_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in TYPED_SECTIONS
+    for f in dataclasses.fields(cls)
+    if typing.get_type_hints(cls)[f.name] is not str
+]
+
+
+def typed_config(tmp_path, cls, key, value) -> Path:
+    """TYPED_CONFIG with `key: value` among the fields of `cls`."""
+    filler = {c.__name__: "" for c in TYPED_SECTIONS}
+    filler[cls.__name__] = f"{key}: {value}"
+    lines = TYPED_CONFIG.format(**filler).splitlines(keepends=True)
+    return write_config(tmp_path, "".join(line for line in lines if line.strip()))
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("cls, field", NUMERIC_FIELDS)
+    def test_variable_loads_as_a_number(self, tmp_path, monkeypatch, cls, field):
+        listed = isinstance(field.default, tuple)  # subset_sizes
+        number = field.default[0] if listed else 9000 if field.default is None else field.default
+        monkeypatch.setenv("CF_NUMBER", str(number))
+        value = '["${CF_NUMBER}"]' if listed else "${CF_NUMBER}"
+        cfg = load_run_config(typed_config(tmp_path, cls, field.name, value))
+        loaded = getattr(TYPED_SECTIONS[cls][1](cfg), field.name)
+        assert loaded == ((number,) if listed else number)
+        assert type(loaded[0] if listed else loaded) is type(number)
+
+    @pytest.mark.parametrize("cls, field", NUMERIC_FIELDS)
+    def test_wrong_type_fails_at_load_naming_the_key(self, tmp_path, capsys, cls, field):
+        value = "[lots]" if isinstance(field.default, tuple) else "lots"
+        path = typed_config(tmp_path, cls, field.name, value)
+        section = TYPED_SECTIONS[cls][0]
+        with pytest.raises(ConfigError, match=f"{section}: {field.name} must be "):
+            load_run_config(path)
+        assert cli.main(["synth", "--config", str(path), "--dry-run"]) == 2
+        assert f"{section}: {field.name} must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", "1.5"])
+    def test_bool_or_fraction_is_not_an_int(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="pipeline section: random_seed must be of type int"):
+            load_run_config(write_config(tmp_path, f"pipeline:\n  random_seed: {value}\n"))
+
+    def test_range_rules_hold_for_library_callers(self):
+        for key in ("max_attempts", "concurrency_limit", "max_output_tokens"):
+            with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+                PipelineConfig(**{key: 0})
+        spec = dict(label="m", profile="p", model_id="x", system_prompt="s")
+        for key in ("max_output_tokens", "training_set_size"):
+            with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+                EvalModelSpec(**spec, **{key: -3})
 
 
 class TestSecrets:

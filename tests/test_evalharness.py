@@ -18,7 +18,6 @@ from convoforge.evalharness import (
     build_report,
     emit_report,
     generate_responses,
-    load_report_json,
     pct_conversational,
 )
 from convoforge.gateway import GatewayConfig, NetworkError, TranscriptTransport
@@ -399,8 +398,8 @@ class TestEmitReport:
     def test_report_json_round_trips(self, tmp_path):
         base, tuned = self.build_pair()
         paths = emit_report([base, tuned], tmp_path)
-        loaded = load_report_json(paths["json"])
-        assert loaded == [base, tuned]
+        with open(paths["json"], encoding="utf-8") as fh:
+            assert json.load(fh) == [base.to_dict(), tuned.to_dict()]
 
     def test_empty_report_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):

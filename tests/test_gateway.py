@@ -74,7 +74,7 @@ class TestCompleteChat:
         sleeps = []
         completion = complete_chat(CONFIG, request_for(), transport, sleep=sleeps.append)
         assert completion.content == "finally"
-        assert transport.consumed == 3
+        assert len(transport.requests) == 3
         assert len(sleeps) == 2
 
     def test_server_errors_exhaust_retries(self):
@@ -88,13 +88,13 @@ class TestCompleteChat:
         ])
         with pytest.raises(NetworkError, match="503"):
             complete_chat(config, request_for(), transport, sleep=NO_SLEEP)
-        assert transport.consumed == 2  # initial try + one retry, then give up
+        assert len(transport.requests) == 2  # initial try + one retry, then give up
 
     def test_auth_failure_is_not_retried(self):
         transport = TranscriptTransport([{"status": 401, "body": "bad key"}])
         with pytest.raises(AuthenticationError):
             complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
-        assert transport.consumed == 1
+        assert len(transport.requests) == 1
 
     def test_client_error_raises_protocol_error(self):
         transport = TranscriptTransport([{"status": 404, "body": "no such route"}])
@@ -178,12 +178,17 @@ class TestRequestValidation:
         ),
         st.floats(min_value=0, max_value=2, allow_nan=False),
     )
-    def test_payload_round_trip(self, messages, temperature):
+    def test_payload_carries_every_field(self, messages, temperature):
         request = CompletionRequest(
             model_id="m", messages=tuple(messages),
             temperature=temperature, max_output_tokens=32,
         )
-        assert CompletionRequest.from_payload(request.to_payload()) == request
+        assert request.to_payload() == {
+            "model": "m",
+            "messages": [{"role": m.role, "content": m.content} for m in messages],
+            "temperature": temperature,
+            "max_tokens": 32,
+        }
 
 
 class TestEmbeddings:
@@ -307,15 +312,3 @@ class TestTranscript:
         complete_chat(CONFIG, request_for(), transport)
         with pytest.raises(ProtocolError, match="exhausted"):
             complete_chat(CONFIG, request_for(), transport)
-
-    def test_from_file_replays_in_order(self, tmp_path):
-        steps = [
-            {"status": 429, "body": "wait"},
-            {"status": 200, "body": chat_body("replayed")},
-        ]
-        path = tmp_path / "transcript.json"
-        path.write_text(json.dumps(steps), encoding="utf-8")
-        transport = TranscriptTransport.from_file(path)
-        completion = complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
-        assert completion.content == "replayed"
-        assert transport.consumed == 2

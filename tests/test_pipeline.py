@@ -60,7 +60,7 @@ class ScriptedChat:
 
 
 def section_for(text="A plain test section.", section_id="sec-t-1") -> CorpusSection:
-    return CorpusSection(section_id=section_id, text=text, char_length=len(text))
+    return CorpusSection(section_id=section_id, text=text)
 
 
 # A section's first chat call is its QA prompt, which quotes the section
@@ -84,7 +84,7 @@ class TestIngest:
             {"id": "long", "text": "x" * 700},
             {"id": "short", "text": "x" * 699},
         ]
-        result = ingest_corpus(records, PipelineConfig(), shuffle=False)
+        result = ingest_corpus(records, PipelineConfig())
         assert [s.section_id for s in result.sections] == ["long"]
         assert result.excluded_short == 1
 
@@ -114,7 +114,7 @@ class TestIngest:
 
     def test_fallback_ids_from_position(self):
         records = [{"text": "x" * 700}]
-        result = ingest_corpus(records, PipelineConfig(), shuffle=False)
+        result = ingest_corpus(records, PipelineConfig())
         assert result.sections[0].section_id == "sec000000"
 
     def test_read_corpus_file_reports_bad_line(self, tmp_path):
@@ -166,41 +166,37 @@ class TestGenerateQa:
 class TestSimplify:
     def test_first_passing_attempt_stops_the_loop(self):
         chat = ScriptedChat([DENSE_TEXT, EASY_TEXT, "never requested"])
-        result = simplify_until_pass("Q?", "original answer", PipelineConfig(), chat)
-        assert result.accepted
-        assert result.attempts_used == 2
-        assert result.answer_simplified == EASY_TEXT
+        scores, answer = simplify_until_pass("Q?", "original answer", PipelineConfig(), chat)
+        assert answer == EASY_TEXT
+        assert len(scores) == 2
         assert len(chat.prompts) == 2  # the third response stays unused
-        assert len(result.attempt_scores) == 2
 
     def test_each_round_feeds_back_the_latest_text(self):
         fail_1 = DENSE_TEXT
         fail_2 = DENSE_TEXT.replace("Regrettably", "Unquestionably")
         chat = ScriptedChat([fail_1, fail_2, EASY_TEXT])
-        result = simplify_until_pass("Q?", "original answer", PipelineConfig(), chat)
-        assert result.accepted and result.attempts_used == 3
+        scores, answer = simplify_until_pass("Q?", "original answer", PipelineConfig(), chat)
+        assert answer == EASY_TEXT and len(scores) == 3
         assert "original answer" in chat.prompts[0]
         assert fail_1 in chat.prompts[1]
         assert fail_2 in chat.prompts[2]
 
     def test_all_attempts_failing_discards(self):
         chat = ScriptedChat([DENSE_TEXT] * 3)
-        result = simplify_until_pass("Q?", "original", PipelineConfig(), chat)
-        assert not result.accepted
-        assert result.answer_simplified is None
-        assert len(result.attempt_scores) == 3
-        assert all(s < 75 for s in result.attempt_scores)
+        scores, answer = simplify_until_pass("Q?", "original", PipelineConfig(), chat)
+        assert answer is None
+        assert len(scores) == 3
+        assert all(s < 75 for s in scores)
 
     def test_gate_is_inclusive_at_the_exact_score(self):
         score = flesch_reading_ease(EASY_TEXT).flesch_score
         at_gate = PipelineConfig(accept_threshold=score)
-        result = simplify_until_pass("Q?", "orig", at_gate, ScriptedChat([EASY_TEXT]))
-        assert result.accepted and result.attempts_used == 1
-        assert result.flesch_score == score
+        scores, answer = simplify_until_pass("Q?", "orig", at_gate, ScriptedChat([EASY_TEXT]))
+        assert answer == EASY_TEXT and scores == [score]
 
         just_above = PipelineConfig(accept_threshold=score + 1e-9, max_attempts=1)
-        result = simplify_until_pass("Q?", "orig", just_above, ScriptedChat([EASY_TEXT]))
-        assert not result.accepted
+        _, answer = simplify_until_pass("Q?", "orig", just_above, ScriptedChat([EASY_TEXT]))
+        assert answer is None
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -234,16 +230,15 @@ class TestRunPipeline:
     def test_duplicate_rejection_names_the_accepted_twin(
         self, corpus50_records, sim_fns, tmp_path
     ):
-        result = run_pipeline(
-            PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
-        )
-        rejected = [t for t in result.traces if t.outcome == "rejected_duplicate"]
+        run_pipeline(PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path)
+        traces = read_corpus_file(tmp_path / "traces.jsonl")
+        rejected = [t for t in traces if t["outcome"] == "rejected_duplicate"]
         assert len(rejected) == 1
         trace = rejected[0]
-        assert trace.section_id.startswith("sec-dup-")
-        assert trace.nearest_id.startswith("qa-sec-dup-")
-        assert trace.nearest_id != f"qa-{trace.section_id}"
-        assert trace.nearest_similarity == pytest.approx(1.0)
+        assert trace["section_id"].startswith("sec-dup-")
+        assert trace["nearest_id"].startswith("qa-sec-dup-")
+        assert trace["nearest_id"] != f"qa-{trace['section_id']}"
+        assert trace["nearest_similarity"] == pytest.approx(1.0)
 
     def test_duplicate_sections_share_the_simulated_question(
         self, corpus50_records, sim_fns, tmp_path
@@ -255,10 +250,11 @@ class TestRunPipeline:
         )
         dup_a = [s for s in result.samples if s.section_id == "sec-dup-a-001"]
         assert [s.question for s in dup_a] == [_DUP_QUESTION]
-        dup_b = [t for t in result.traces if t.section_id == "sec-dup-b-001"]
-        assert [t.outcome for t in dup_b] == ["rejected_duplicate"]
-        assert dup_b[0].nearest_id == "qa-sec-dup-a-001"
-        assert dup_b[0].nearest_similarity == pytest.approx(1.0)
+        traces = read_corpus_file(tmp_path / "traces.jsonl")
+        dup_b = [t for t in traces if t["section_id"] == "sec-dup-b-001"]
+        assert [t["outcome"] for t in dup_b] == ["rejected_duplicate"]
+        assert dup_b[0]["nearest_id"] == "qa-sec-dup-a-001"
+        assert dup_b[0]["nearest_similarity"] == pytest.approx(1.0)
 
     def test_accepted_samples_pass_the_gate_when_rescored(
         self, corpus50_records, sim_fns, tmp_path
@@ -293,7 +289,6 @@ class TestRunPipeline:
             config, corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
         assert len(result.samples) == 5
-        assert not result.shortfall
         assert result.manifest["shortfall"] is False
         # consumed well under the full corpus
         assert result.manifest["consumed_sections"] < 50
@@ -309,7 +304,6 @@ class TestRunPipeline:
                 tmp_path, limit=10,
             )
         assert result.manifest["consumed_sections"] == 10
-        assert result.shortfall
         assert result.manifest["shortfall"] is True
         assert any("partial" in r.message for r in caplog.records)
 
@@ -348,13 +342,14 @@ class TestRunPipeline:
         result = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path
         )
-        failed = {t.section_id: t for t in result.traces if t.section_id in failing}
+        traces = read_corpus_file(tmp_path / "traces.jsonl")
+        failed = {t["section_id"]: t for t in traces if t["section_id"] in failing}
         assert set(failed) == failing
         for trace in failed.values():
-            assert trace.outcome == "generation_error"
-            assert trace.error.startswith("embedding failed: ")
-            assert trace.attempt_scores and trace.attempt_scores[-1] >= 75.0
-            assert trace.sample_id is None
+            assert trace["outcome"] == "generation_error"
+            assert trace["error"].startswith("embedding failed: ")
+            assert trace["attempt_scores"] and trace["attempt_scores"][-1] >= 75.0
+            assert trace["sample_id"] is None
         counts = result.manifest["counts"]
         assert counts["accepted"] == golden_manifest["counts"]["accepted"] - len(failing)
         assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
@@ -416,6 +411,41 @@ class TestRunPipeline:
             assert (tmp_path / "slow" / name).read_bytes() == (
                 tmp_path / "serial" / name
             ).read_bytes(), name
+
+    def test_fresh_run_over_a_finished_run_then_resume(self, corpus50_records, tmp_path):
+        from conftest import SimFns
+
+        finished = SimFns()
+        run_pipeline(PipelineConfig(), corpus50_records, finished.chat, finished.embed, tmp_path)
+        crashing = SimFns()
+        lock = threading.Lock()
+        calls = [0]
+
+        def chat(messages, temperature):
+            with lock:
+                calls[0] += 1
+                if calls[0] == 40:
+                    raise RuntimeError("injected crash")
+            return crashing.chat(messages, temperature)
+
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_pipeline(
+                PipelineConfig(concurrency_limit=1), corpus50_records, chat, crashing.embed,
+                tmp_path,
+            )
+        assert len(read_corpus_file(tmp_path / "samples.jsonl")) == 12
+        # Nothing of the finished run survives beside them.
+        assert not (tmp_path / "index.tsv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+        resumed = SimFns()
+        result = run_pipeline(
+            PipelineConfig(), corpus50_records, resumed.chat, resumed.embed, tmp_path, resume=True,
+        )
+        assert result.manifest["consumed_sections"] == 50
+        assert sum(result.manifest["counts"].values()) == 50
+        sample_ids = [s.sample_id for s in result.samples]
+        assert len(sample_ids) == len(set(sample_ids))
 
     def test_target_stop_then_resume_equals_an_uninterrupted_run(
         self, corpus50_records, tmp_path
