@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -148,22 +149,22 @@ def _embed_fn(gateway: GatewayConfig, model_id: str, transport: Transport):
     return embed
 
 
-def _make_transport(profile: str, gateway: GatewayConfig,
-                    transport_factory: Optional[TransportFactory]) -> Transport:
-    # Built eagerly so a missing API key fails the command up front
-    # instead of surfacing as per-section generation errors mid-run.
-    if transport_factory is not None:
-        return transport_factory(profile, gateway)
-    return HttpTransport(gateway)
+def _connect(cfg: RunConfig, profile: str, factory: Optional[TransportFactory]):
+    # The transport is built eagerly so a missing API key fails the command
+    # up front instead of surfacing as per-section generation errors mid-run.
+    gateway = cfg.gateway_for(profile)
+    return gateway, factory(profile, gateway) if factory else HttpTransport(gateway)
 
 
 _DRY_RUN_GATEWAY = GatewayConfig(
-    base_url="https://dry-run.invalid", api_key_env_name="CONVOFORGE_DRY_RUN_UNUSED"
+    base_url="https://dry-run.invalid", api_key_env="CONVOFORGE_DRY_RUN_UNUSED"
 )
 
 
 def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
     cfg = load_run_config(args.config)
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     if not cfg.paths.corpus:
         raise ConfigError(f"{args.config}: paths.corpus is required for synth")
     records = read_corpus_file(cfg.paths.corpus)
@@ -176,10 +177,8 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         chat_gateway = embed_gateway = _DRY_RUN_GATEWAY
         chat_transport = embed_transport = simulator
     else:
-        chat_gateway = cfg.gateway_for(cfg.generation_profile)
-        embed_gateway = cfg.gateway_for(cfg.embedding_profile)
-        chat_transport = _make_transport(cfg.generation_profile, chat_gateway, transport_factory)
-        embed_transport = _make_transport(cfg.embedding_profile, embed_gateway, transport_factory)
+        chat_gateway, chat_transport = _connect(cfg, cfg.run.generation_profile, transport_factory)
+        embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
 
     result = run_pipeline(
         cfg.pipeline,
@@ -190,8 +189,8 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         out_dir=out_dir,
         resume=args.resume,
         limit=args.limit,
-        qa_template=cfg.prompt_overrides.get("qa_generation", prompts.QA_GENERATION_TEMPLATE),
-        simplify_template=cfg.prompt_overrides.get("simplify", prompts.SIMPLIFY_TEMPLATE),
+        qa_template=cfg.prompts.qa_generation,
+        simplify_template=cfg.prompts.simplify,
     )
     for outcome, count in sorted(result.manifest["counts"].items()):
         print(f"{outcome}: {count}")
@@ -204,40 +203,42 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
 
 def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
     cfg = load_run_config(args.config)
+    threshold = cfg.eval.threshold if args.threshold is None else args.threshold
+    try:  # an override obeys the rule for eval.threshold
+        evaluation = replace(cfg.eval, threshold=threshold)
+    except ValueError as exc:
+        raise ConfigError(f"--threshold: {exc}") from exc
     validation_path = args.validation or cfg.paths.validation
     if not validation_path:
         raise ConfigError(f"{args.config}: paths.validation is required for eval")
     samples = load_samples(validation_path)
     if not samples:
         raise ValueError(f"validation file {validation_path} is empty")
-    threshold = args.threshold if args.threshold is not None else cfg.eval_threshold
 
-    specs = {spec.label: spec for spec in cfg.eval_models}
+    specs = {spec.label: spec for spec in evaluation.models}
     if args.models:
         missing = [label for label in args.models if label not in specs]
         if missing:
             raise ConfigError(f"labels not in config: {', '.join(missing)}")
         selected = [specs[label] for label in args.models]
     else:
-        selected = list(cfg.eval_models)
+        selected = list(evaluation.models)
     if not selected:
         raise ConfigError(f"{args.config}: eval.models defines no models")
 
     embed = None
     if args.similarity:
-        embed_gateway = cfg.gateway_for(cfg.embedding_profile)
-        embed_transport = _make_transport(cfg.embedding_profile, embed_gateway, transport_factory)
+        embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
         embed = _embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport)
 
     reports = []
     for spec in selected:
-        gateway = cfg.gateway_for(spec.profile)
-        transport = _make_transport(spec.profile, gateway, transport_factory)
-        chat = _chat_fn(gateway, spec.model_id, spec.max_output_tokens, transport)
+        gateway, transport = _connect(cfg, spec.profile, transport_factory)
+        chat = _chat_fn(gateway, spec.model, spec.max_output_tokens, transport)
         responses = generate_responses(spec.system_prompt, samples, chat,
                                        cfg.pipeline.concurrency_limit)
         report = build_report(
-            spec.label, samples, responses, threshold,
+            spec.label, samples, responses, evaluation.threshold,
             embed=embed, training_set_size=spec.training_set_size,
         )
         reports.append(report)

@@ -1,24 +1,26 @@
 """Run configuration: one commented YAML file per experiment.
 
-Secrets never live in the file; gateway entries name the environment
-variable that holds the key (api_key_env). Other values may use ${VAR}
-interpolation, resolved at load time; an int or float field reads the
-result as its number.
+Each section is a frozen dataclass whose field names are its keys, and
+CONFIG_SCHEMA is rendered from the fields. Secrets never live in the file;
+gateway entries name the environment variable that holds the key
+(api_key_env). Other values may use ${VAR} interpolation, resolved at load
+time; an int or float field reads the result as its number.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Optional, Union, get_args, get_origin
 
 import yaml
 
-from .gateway import GatewayConfig, check_fields
+from . import prompts
+from .gateway import GatewayConfig, check_fields, field_types, type_name
 from .pipeline import PipelineConfig
-from .prompts import PRESETS
 from .textmetrics import CONVERSATIONAL_THRESHOLD
 
 # Ceiling of the score formula: a text of single-syllable one-word
@@ -34,36 +36,84 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class EvalModelSpec:
-    label: str
-    profile: str
-    model_id: str
-    system_prompt: str
-    max_output_tokens: int = 512
-    training_set_size: Optional[int] = None
+    label: Annotated[str, "names the model in reports and in --model"]
+    profile: Annotated[str, "gateway profile (default run.generation_profile)"]
+    model: Annotated[str, "model id sent to the endpoint"]
+    system_prompt: Annotated[str, "literal system prompt, or instead\nsystem_prompt_preset: "
+                             + " | ".join(prompts.PRESETS)] = ""
+    max_output_tokens: Annotated[int, "reply cap per call"] = 512
+    training_set_size: Annotated[Optional[int], "fine-tuning subset size, for reports"] = None
 
     def __post_init__(self):
         check_fields(self, positive=("max_output_tokens", "training_set_size"))
         if not self.label:
             raise ValueError("label must be non-empty")
+        if not self.system_prompt:
+            raise ValueError("a system prompt is required: system_prompt or system_prompt_preset")
+
+
+@dataclass(frozen=True)
+class RunProfiles:
+    generation_profile: Annotated[str, "gateway profile for chat calls"] = "default"
+    embedding_profile: Annotated[
+        Optional[str], "gateway profile for embedding calls (default generation_profile)"] = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.embedding_profile is None:
+            object.__setattr__(self, "embedding_profile", self.generation_profile)
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    threshold: Annotated[float, "conversational cutoff, inclusive"] = CONVERSATIONAL_THRESHOLD
+    models: Annotated[tuple[EvalModelSpec, ...], "models to evaluate"] = ()
+
+    def __post_init__(self):
+        check_fields(self)
+        if not 0 < self.threshold <= MAX_FLESCH_SCORE:
+            raise ValueError(f"threshold must be in (0, {MAX_FLESCH_SCORE}], got {self.threshold}")
+        if len({m.label for m in self.models}) != len(self.models):
+            raise ValueError("model labels must be unique")
 
 
 @dataclass(frozen=True)
 class PathsConfig:
-    corpus: Optional[str] = None
-    output_dir: str = "runs/latest"
-    validation: Optional[str] = None
+    corpus: Annotated[Optional[str], "line-delimited JSON corpus, for synth"] = None
+    output_dir: Annotated[str, "run artifacts directory"] = "runs/latest"
+    validation: Annotated[Optional[str], "validation split file, for eval"] = None
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class PromptsConfig:
+    qa_generation: Annotated[str, "template over {section_text}"] = prompts.QA_GENERATION_TEMPLATE
+    simplify: Annotated[str, "template over {question} and {answer}"] = prompts.SIMPLIFY_TEMPLATE
+
+    def __post_init__(self):
+        check_fields(self)
+        for name, keys in (("qa_generation", ["section_text"]),
+                           ("simplify", ["question", "answer"])):
+            template = getattr(self, name)
+            if not template:
+                raise ValueError(f"{name} must be non-empty")
+            try:  # as the pipeline formats it
+                template.format(**dict.fromkeys(keys, ""))
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{name} may use only the placeholders {keys} and must "
+                                 f"double a literal brace: {exc!r}") from None
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    pipeline: PipelineConfig
-    gateways: dict[str, GatewayConfig]
-    generation_profile: str
-    embedding_profile: str
-    eval_threshold: float
-    eval_models: tuple[EvalModelSpec, ...]
-    paths: PathsConfig
-    prompt_overrides: dict[str, str] = field(default_factory=dict)
+    pipeline: Annotated[PipelineConfig, "dataset synthesis constants"]
+    gateways: Annotated[dict[str, GatewayConfig], "named endpoint profiles"]
+    run: Annotated[RunProfiles, "the profiles synthesis calls"]
+    eval: Annotated[EvalConfig, "evaluation of configured models"]
+    paths: Annotated[PathsConfig, "inputs and outputs"]
+    prompts: Annotated[PromptsConfig, "synthesis prompt templates"]
 
     def gateway_for(self, profile: str) -> GatewayConfig:
         try:
@@ -95,11 +145,11 @@ def _interpolate(value, source: str):
 
 def _as_type(value, hint):
     """`value` as `hint` where it reads as one (a ${VAR} number, an int for a
-    float); anything else unchanged, for the dataclass's check to reject."""
+    float, a tuple); anything else unchanged, for the dataclass's check to reject."""
     if get_origin(hint) is Union:  # Optional[X]
         hint = get_args(hint)[0]
     if get_origin(hint) is tuple and isinstance(value, list):
-        return [_as_type(v, get_args(hint)[0]) for v in value]
+        return tuple(_as_type(v, get_args(hint)[0]) for v in value)
     if hint in (int, float) and isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return hint(value)
@@ -108,32 +158,38 @@ def _as_type(value, hint):
     return value
 
 
-def _read(cls, values, source: str):
-    """`cls` built from the mapping `values`, each read as its field's type."""
+def _mapping(values, source: str, cls=None) -> dict:
+    """`values` as a mapping (None as an empty one), holding only field names of `cls`."""
+    values = {} if values is None else values
     if not isinstance(values, dict):
         raise ConfigError(f"{source} must be a mapping")
-    hints = get_type_hints(cls)
+    known = [f.name for f in fields(cls)] if cls else list(values)
+    for key in values:
+        if key not in known:
+            raise ConfigError(f"{source}: unknown key {key!r}; known keys: {', '.join(known)}")
+    return values
+
+
+def _read(cls, values, source: str):
+    """`cls` built from the mapping `values`, each read as its field's type."""
+    values, hints = _mapping(values, source, cls), field_types(cls)
     try:
-        return cls(**{key: _as_type(value, hints.get(key)) for key, value in values.items()})
+        return cls(**{key: _as_type(value, hints[key]) for key, value in values.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _resolve_system_prompt(raw: dict, source: str) -> str:
-    preset_name = raw.get("system_prompt_preset")
-    literal = raw.get("system_prompt")
-    if preset_name and literal:
-        raise ConfigError(f"{source}: give system_prompt or system_prompt_preset, not both")
-    if preset_name:
-        if preset_name not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
-            raise ConfigError(
-                f"{source}: unknown prompt preset {preset_name!r}; available: {known}"
-            )
-        return PRESETS[preset_name]
-    if literal:
-        return literal
-    raise ConfigError(f"{source}: a system prompt (preset or literal) is required")
+def _eval_model(entry, generation_profile: str, source: str) -> EvalModelSpec:
+    values = {"profile": generation_profile, **_mapping(entry, source)}
+    preset = values.pop("system_prompt_preset", None)
+    if preset is not None:
+        if "system_prompt" in values:
+            raise ConfigError(f"{source}: give system_prompt or system_prompt_preset, not both")
+        try:
+            values["system_prompt"] = prompts.preset(preset)
+        except (KeyError, TypeError) as exc:  # unknown or unhashable name
+            raise ConfigError(f"{source}: {exc.args[0]}") from None
+    return _read(EvalModelSpec, values, source)
 
 
 def load_run_config(path) -> RunConfig:
@@ -146,130 +202,61 @@ def load_run_config(path) -> RunConfig:
         raw = yaml.safe_load(raw_text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    raw = _interpolate(raw, str(path))
+    raw = _interpolate(_mapping(raw, f"{path}: top level", RunConfig), str(path))
 
-    pipeline = _read(PipelineConfig, raw.get("pipeline", {}), f"{path}: pipeline section")
-
-    gateways: dict[str, GatewayConfig] = {}
-    for name, entry in (raw.get("gateways") or {}).items():
-        source = f"{path}: gateway {name!r}"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{source} must be a mapping")
-        entry = dict(entry)
-        api_key_env = entry.pop("api_key_env", None)
-        if api_key_env is None:
-            raise ConfigError(f"{source} must set api_key_env (a variable name)")
-        gateways[name] = _read(GatewayConfig, {"api_key_env_name": api_key_env, **entry}, source)
-
-    run = raw.get("run") or {}
-    generation_profile = run.get("generation_profile", "default")
-    embedding_profile = run.get("embedding_profile", generation_profile)
-
-    eval_raw = raw.get("eval") or {}
-    threshold = _as_type(eval_raw.get("threshold", CONVERSATIONAL_THRESHOLD), float)
-    if not isinstance(threshold, float) or not 0 < threshold <= MAX_FLESCH_SCORE:
-        raise ConfigError(
-            f"{path}: eval threshold must be in (0, {MAX_FLESCH_SCORE}], got {threshold!r}"
-        )
-    models = []
-    for i, entry in enumerate(eval_raw.get("models") or []):
-        source = f"{path}: eval model #{i}"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{source} must be a mapping")
-        try:
-            values = {
-                "label": entry["label"],
-                "profile": entry.get("profile", generation_profile),
-                "model_id": entry["model"],
-                "system_prompt": _resolve_system_prompt(entry, source),
-            }
-        except KeyError as exc:
-            raise ConfigError(f"{source}: missing required key {exc}") from exc
-        values.update({k: entry[k] for k in ("max_output_tokens", "training_set_size") if k in entry})
-        models.append(_read(EvalModelSpec, values, source))
-    labels = [m.label for m in models]
-    if len(labels) != len(set(labels)):
-        raise ConfigError(f"{path}: eval model labels must be unique")
-
-    paths_raw = raw.get("paths") or {}
-    paths = PathsConfig(
-        corpus=paths_raw.get("corpus"),
-        output_dir=paths_raw.get("output_dir", "runs/latest"),
-        validation=paths_raw.get("validation"),
+    run = _read(RunProfiles, raw.get("run"), f"{path}: run section")
+    eval_raw = _mapping(raw.get("eval"), f"{path}: eval section", EvalConfig)
+    if not isinstance(eval_raw.get("models") or [], list):
+        raise ConfigError(f"{path}: eval section: models must be a list")
+    eval_raw["models"] = tuple(
+        _eval_model(entry, run.generation_profile, f"{path}: eval model #{i}")
+        for i, entry in enumerate(eval_raw.get("models") or [])
     )
-
-    prompt_overrides = {}
-    for key in ("qa_generation", "simplify"):
-        override = (raw.get("prompts") or {}).get(key)
-        if override:
-            prompt_overrides[key] = override
-
     config = RunConfig(
-        pipeline=pipeline,
-        gateways=gateways,
-        generation_profile=generation_profile,
-        embedding_profile=embedding_profile,
-        eval_threshold=threshold,
-        eval_models=tuple(models),
-        paths=paths,
-        prompt_overrides=prompt_overrides,
+        pipeline=_read(PipelineConfig, raw.get("pipeline"), f"{path}: pipeline section"),
+        gateways={
+            name: _read(GatewayConfig, entry, f"{path}: gateway {name!r}")
+            for name, entry in _mapping(raw.get("gateways"), f"{path}: gateways").items()
+        },
+        run=run,
+        eval=_read(EvalConfig, eval_raw, f"{path}: eval section"),
+        paths=_read(PathsConfig, raw.get("paths"), f"{path}: paths section"),
+        prompts=_read(PromptsConfig, raw.get("prompts"), f"{path}: prompts section"),
     )
     # Referenced profiles must exist whenever any gateway is declared;
     # a config used purely offline may omit the section entirely.
-    if gateways:
-        config.gateway_for(generation_profile)
-        config.gateway_for(embedding_profile)
-        for spec in models:
-            config.gateway_for(spec.profile)
+    if config.gateways:
+        for profile in (run.generation_profile, run.embedding_profile,
+                        *(spec.profile for spec in config.eval.models)):
+            config.gateway_for(profile)
     return config
 
 
-CONFIG_SCHEMA = """\
-configuration file schema (YAML, comments allowed, ${VAR} interpolation;
-an int or float field reads its ${VAR} as a number, e.g. random_seed: ${SEED}):
+def _schema_lines(cls, indent: int) -> list[str]:
+    """One line per field of `cls`, with a nested section's fields indented under its key."""
+    lines, hints = [], field_types(cls, include_extras=True)
+    for f in fields(cls):
+        hint, help_text = get_args(hints[f.name])  # Annotated[type, help]
+        nested = next((arg for arg in get_args(hint) or (hint,) if is_dataclass(arg)), None)
+        head = " " * indent + f.name + ":"
+        if nested is None:
+            head += " " + type_name(hint)
+            if f.default not in (MISSING, None, "") and "\n" not in str(f.default):
+                help_text += f" (default {json.dumps(f.default)})"
+        lines.append(f"{head:<30} " + help_text.replace("\n", "\n" + " " * 31))
+        if get_origin(hint) is dict:
+            lines += [" " * (indent + 2) + "<name>:", *_schema_lines(nested, indent + 4)]
+        elif get_origin(hint) is tuple and nested:
+            entry = _schema_lines(nested, indent + 4)
+            lines += [" " * (indent + 2) + "- " + entry[0][indent + 4:], *entry[1:]]
+        elif nested:
+            lines += _schema_lines(nested, indent + 2)
+    return lines
 
-pipeline:                # dataset synthesis constants
-  generation_model: str        chat model id for QA generation
-  embedding_model: str         embedding model id for dedup
-  min_section_chars: int       default 700
-  accept_threshold: float      default 75
-  max_attempts: int            default 3
-  dedup_threshold: float       default 0.8
-  target_samples: int          default 10000
-  validation_size: int         default 1000
-  subset_sizes: [int]          default [100, 1000, 5000, 9000]
-  concurrency_limit: int       default 8; caps model calls in flight, in synth
-                               and in each eval model's replay (up to 2x as
-                               many finished results await in-order use)
-  random_seed: int             default 1234
-  generation_temperature: float  default 0.7
-  max_output_tokens: int       default 1024
-gateways:                # named endpoint profiles
-  <name>:
-    base_url: str              OpenAI-compatible endpoint root
-    api_key_env: str           NAME of the env var holding the key
-    request_timeout: float     default 60
-    max_retries: int           default 4 (max 8)
-    backoff_base: float        default 0.5
-run:
-  generation_profile: str      gateway used for generation (default "default")
-  embedding_profile: str       gateway used for embeddings
-eval:
-  threshold: float             conversational cutoff, default 60
-  models:                      list of models to evaluate
-    - label: str
-      profile: str
-      model: str
-      system_prompt_preset: verbose-base | concise-finetune
-      system_prompt: str       (literal alternative to a preset)
-      max_output_tokens: int
-paths:
-  corpus: str                  line-delimited JSON corpus
-  output_dir: str              run artifacts directory
-  validation: str              validation split file for eval
-prompts:                 # optional template overrides
-  qa_generation: str
-  simplify: str
-"""
+
+CONFIG_SCHEMA = """\
+configuration file schema (YAML; an unknown section or key is an error). Any
+value may use ${VAR}; an int or float field reads it as a number (random_seed:
+${SEED}); inside a [...] list, quote it: subset_sizes: ["${A}", "${B}"].
+
+""" + "\n".join(_schema_lines(RunConfig, 0)) + "\n"

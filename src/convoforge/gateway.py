@@ -9,6 +9,7 @@ not. A transcript-driven transport stands in for the network in tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -16,7 +17,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    Callable, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints,
+    Annotated, Callable, Optional, Protocol, Sequence, Union, get_args, get_origin,
+    get_type_hints,
 )
 
 import requests
@@ -98,16 +100,23 @@ class CompletionRequest:
         }
 
 
+field_types = functools.cache(get_type_hints)  # evaluating annotations costs more than a check
+
+
 def check_fields(obj, positive: Sequence[str] = ()) -> None:
     """Raise ValueError naming the first field of dataclass `obj` not of its
     declared type (a bool is not a number), or in `positive` and below 1."""
-    for name, hint in get_type_hints(type(obj)).items():
+    for name, hint in field_types(type(obj)).items():
         value = getattr(obj, name)
         if name in positive and value is not None and not (_has_type(value, int) and value >= 1):
             raise ValueError(f"{name} must be >= 1, got {value!r}")
         if not _has_type(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ValueError(f"{name} must be of type {expected}, got {value!r}")
+            raise ValueError(f"{name} must be of type {type_name(hint)}, got {value!r}")
+
+
+def type_name(hint) -> str:
+    """`hint` as config errors and the schema write it: int, Optional[str], tuple[int, ...]."""
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
 def _has_type(value, hint) -> bool:
@@ -123,18 +132,18 @@ def _has_type(value, hint) -> bool:
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    base_url: str
-    api_key_env_name: str
-    request_timeout: float = 60.0
-    max_retries: int = 4
-    backoff_base: float = 0.5
+    base_url: Annotated[str, "OpenAI-compatible endpoint root"]
+    api_key_env: Annotated[str, "NAME of the environment variable holding the key"]
+    request_timeout: Annotated[float, "seconds per request"] = 60.0
+    max_retries: Annotated[int, f"retries of a 429 or 5xx, at most {MAX_RETRY_LIMIT}"] = 4
+    backoff_base: Annotated[float, "seconds before the first retry, doubling"] = 0.5
 
     def __post_init__(self):
         check_fields(self)
         if not self.base_url:
             raise ValueError("base_url must be non-empty")
-        if not self.api_key_env_name:
-            raise ValueError("api_key_env_name must be non-empty")
+        if not self.api_key_env:
+            raise ValueError("api_key_env must be non-empty")
         if not 0 <= self.max_retries <= MAX_RETRY_LIMIT:
             raise ValueError(f"max_retries must be in [0, {MAX_RETRY_LIMIT}]")
         if self.backoff_base < 0:
@@ -161,10 +170,10 @@ class Transport(Protocol):
 
 
 def resolve_api_key(config: GatewayConfig) -> str:
-    key = os.environ.get(config.api_key_env_name)
+    key = os.environ.get(config.api_key_env)
     if not key:
         raise MissingApiKeyError(
-            f"environment variable {config.api_key_env_name} is not set; "
+            f"environment variable {config.api_key_env} is not set; "
             f"export it with the API key for {config.base_url}"
         )
     return key

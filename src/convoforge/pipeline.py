@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import prompts
 from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
@@ -89,33 +89,35 @@ class QaSample:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    generation_model: str = "default-chat"
-    embedding_model: str = "default-embed"
-    min_section_chars: int = 700
-    accept_threshold: float = 75.0
-    max_attempts: int = 3
-    dedup_threshold: float = DEDUP_THRESHOLD
-    target_samples: int = 10000
-    validation_size: int = 1000
-    subset_sizes: tuple[int, ...] = (100, 1000, 5000, 9000)
-    concurrency_limit: int = 8
-    random_seed: int = 1234
-    generation_temperature: float = 0.7
-    max_output_tokens: int = 1024
+    generation_model: Annotated[str, "chat model id for QA generation"] = "default-chat"
+    embedding_model: Annotated[str, "embedding model id for dedup"] = "default-embed"
+    min_section_chars: Annotated[int, "shorter corpus sections are dropped"] = 700
+    accept_threshold: Annotated[float, "readability gate, inclusive"] = 75.0
+    max_attempts: Annotated[int, "simplify attempts per answer"] = 3
+    dedup_threshold: Annotated[float, "cosine in (0, 1]; strictly above rejects"] = DEDUP_THRESHOLD
+    target_samples: Annotated[int, "accepted samples to stop at"] = 10000
+    validation_size: Annotated[int, "samples held out for eval"] = 1000
+    subset_sizes: Annotated[tuple[int, ...], "training subset sizes"] = (100, 1000, 5000, 9000)
+    concurrency_limit: Annotated[int, "model calls in flight in synth and per eval model"] = 8
+    random_seed: Annotated[int, "seeds the corpus order and the split"] = 1234
+    generation_temperature: Annotated[float, "synthesis only; eval runs at 0"] = 0.7
+    max_output_tokens: Annotated[int, "reply cap per synthesis call"] = 1024
 
     def __post_init__(self):
-        if isinstance(self.subset_sizes, list):
-            object.__setattr__(self, "subset_sizes", tuple(self.subset_sizes))
-        check_fields(self, positive=("max_attempts", "concurrency_limit", "max_output_tokens"))
+        check_fields(self, positive=(
+            "max_attempts", "validation_size", "concurrency_limit", "max_output_tokens"))
+        if not self.generation_temperature >= 0:  # also rejects nan
+            raise ValueError(
+                f"generation_temperature must be >= 0, got {self.generation_temperature}")
         if self.validation_size >= self.target_samples:
             raise ValueError("validation_size must be smaller than target_samples")
         training_pool = self.target_samples - self.validation_size
+        if not self.subset_sizes:
+            raise ValueError("subset_sizes must list at least one size")
         for size in self.subset_sizes:
-            if size > training_pool:
-                raise ValueError(
-                    f"subset size {size} exceeds training pool "
-                    f"{training_pool} (target_samples - validation_size)"
-                )
+            if not 1 <= size <= training_pool:
+                raise ValueError(f"subset_sizes: {size} is not in [1, {training_pool}], "
+                                 f"the training pool (target_samples - validation_size)")
         if self.min_section_chars < 0:
             raise ValueError("min_section_chars must be >= 0")
         if not 0 < self.dedup_threshold <= 1:

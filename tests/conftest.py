@@ -53,7 +53,7 @@ class SimFns:
     def __init__(self):
         self.transport = SimulatedModelTransport()
         self.gateway = GatewayConfig(
-            base_url="https://test.invalid", api_key_env_name="UNUSED_TEST_KEY"
+            base_url="https://test.invalid", api_key_env="UNUSED_TEST_KEY"
         )
 
     def chat(self, messages, temperature):

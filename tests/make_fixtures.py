@@ -193,7 +193,7 @@ def freeze_golden_manifest() -> None:
     from convoforge.pipeline import PipelineConfig, read_corpus_file, run_pipeline
     from convoforge.simulate import SimulatedModelTransport
 
-    gateway = GatewayConfig(base_url="https://fixture.invalid", api_key_env_name="UNUSED")
+    gateway = GatewayConfig(base_url="https://fixture.invalid", api_key_env="UNUSED")
     transport = SimulatedModelTransport()
     config = PipelineConfig()
 

@@ -289,7 +289,7 @@ def test_criterion_8_gpu_outcomes_declared_not_reproduced():
     # the live-evaluation path accepts any endpoint via transport injection
     gateway = GatewayConfig(
         base_url="https://checkpoint.example.invalid",
-        api_key_env_name="CHECKPOINT_KEY",
+        api_key_env="CHECKPOINT_KEY",
     )
     samples = make_samples(3)
     transport = TranscriptTransport([

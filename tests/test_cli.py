@@ -4,10 +4,12 @@ import json
 import threading
 
 import pytest
+import yaml
 
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
 from conftest import DATA_DIR
+from convoforge.config import ConfigError, load_run_config
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TranscriptTransport, TransportResponse
 from convoforge.pipeline import PipelineConfig
 from convoforge.simulate import SimulatedModelTransport
@@ -115,6 +117,46 @@ class TestSynthDryRun:
         assert manifest["consumed_sections"] == 10
 
 
+# Each case: settings merged into a dry-run config, and the text its error
+# must contain. A misspelled key in any section, or a value that would break
+# the run part-way, fails at load.
+REJECTED_SETTINGS = [
+    pytest.param({"paths": {"outptu_dir": "elsewhere"}}, "paths section: unknown key 'outptu_dir'",
+                 id="paths.outptu_dir"),
+    pytest.param({"run": {"generation_profle": "main"}},
+                 "run section: unknown key 'generation_profle'", id="run.generation_profle"),
+    pytest.param({"eval": {"treshold": 50}}, "eval section: unknown key 'treshold'",
+                 id="eval.treshold"),
+    pytest.param({"prompts": {"simplfy": "Say it plainly: {answer}"}},
+                 "prompts section: unknown key 'simplfy'", id="prompts.simplfy"),
+    pytest.param({"eval": {"models": [{"label": "a", "modle": "m", "system_prompt": "s"}]}},
+                 "eval model #0: unknown key 'modle'", id="eval.models.modle"),
+    pytest.param({"pipline": {"random_seed": 7}}, "unknown key 'pipline'", id="pipline"),
+    pytest.param({"pipeline": {"random_sed": 7}}, "pipeline section: unknown key 'random_sed'",
+                 id="pipeline.random_sed"),
+    pytest.param({"paths": {"corpus": 5}}, "paths section: corpus must be of type",
+                 id="paths.corpus=5"),
+    pytest.param({"pipeline": {"generation_temperature": -1}},
+                 "pipeline section: generation_temperature must be >= 0",
+                 id="generation_temperature=-1"),
+    pytest.param({"pipeline": {"validation_size": -10}},
+                 "pipeline section: validation_size must be >= 1", id="validation_size=-10"),
+    pytest.param({"pipeline": {"subset_sizes": [-5]}},
+                 "pipeline section: subset_sizes: -5 is not in [1, 9000]",
+                 id="subset_sizes=[-5]"),
+    pytest.param({"pipeline": {"subset_sizes": []}},
+                 "pipeline section: subset_sizes must list at least one size",
+                 id="subset_sizes=[]"),
+    pytest.param({"prompts": {"simplify": "Make it simpler: {answr}"}},
+                 "prompts section: simplify may use only the placeholders ['question', 'answer']",
+                 id="prompts.simplify-placeholder"),
+    pytest.param({"prompts": {"qa_generation": 'Reply as {"question": ...}: {section_text}'}},
+                 "prompts section: qa_generation may use only the placeholders ['section_text']",
+                 id="prompts.qa_generation-brace"),
+]
+ARTIFACTS = ("samples.jsonl", "traces.jsonl", "index.tsv", "manifest.json")
+
+
 class TestSynthErrors:
     def test_missing_corpus_path_is_a_config_error(self, capsys, tmp_path):
         config = tmp_path / "bare.yaml"
@@ -170,6 +212,37 @@ class TestSynthErrors:
         code, _, err = run_cli(capsys, "synth", "--config", str(config))
         assert code == 2
         assert "ABSENT_SYNTH_KEY" in err
+
+    @pytest.mark.parametrize("settings, named", REJECTED_SETTINGS)
+    def test_rejected_setting_leaves_a_finished_run_untouched(
+        self, capsys, synthesized_run, settings, named
+    ):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        config = {"pipeline": {"random_seed": 1234},
+                  "paths": {"corpus": str(DATA_DIR / "corpus_50.jsonl")}}
+        for section, values in settings.items():
+            config.setdefault(section, {}).update(values)
+        path = synthesized_run / "rejected.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
+            load_run_config(path)
+        assert named in str(raised.value)
+        code, _, err = run_cli(capsys, "synth", "--config", str(path), "--dry-run",
+                               "--out", str(run_dir))
+        assert code == 2
+        assert named in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_negative_limit_leaves_a_finished_run_untouched(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        config = write_dryrun_config(synthesized_run)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
+                               "--limit", "-1")
+        assert code == 2
+        assert "--limit must be >= 0" in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
 @pytest.fixture()
@@ -334,6 +407,20 @@ class TestEval:
         aggregate = (synthesized_run / "run" / "eval" / "aggregate.csv").read_text("utf-8")
         rows = [line.split(",")[0] for line in aggregate.splitlines()[1:]]
         assert rows == ["tuned", "base"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "500", "0", "-1"])
+    def test_threshold_override_obeys_the_config_rule(self, capsys, synthesized_run, threshold):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        sim = RecordingTransport()
+        code, _, err = run_cli(
+            capsys, "eval", "--config", str(config), "--threshold", threshold,
+            transport_factory=lambda profile, gw: sim,
+        )
+        assert code == 2
+        assert "--threshold: threshold must be in (0, 121.22]" in err
+        assert sim.requests == []
+        assert not (synthesized_run / "run" / "eval").exists()
 
     def test_unknown_label_is_a_config_error(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"

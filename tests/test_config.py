@@ -1,14 +1,26 @@
 """Config loading: YAML schema, env-name secrets, interpolation, validation."""
 
 import dataclasses
+import math
 import os
+import re
 import typing
 from pathlib import Path
 
 import pytest
 
 from convoforge import cli
-from convoforge.config import CONFIG_SCHEMA, ConfigError, EvalModelSpec, load_run_config
+from convoforge.config import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    EvalConfig,
+    EvalModelSpec,
+    PathsConfig,
+    PromptsConfig,
+    RunConfig,
+    RunProfiles,
+    load_run_config,
+)
 from convoforge.gateway import GatewayConfig
 from convoforge.pipeline import PipelineConfig
 
@@ -64,11 +76,11 @@ class TestLoading:
         assert cfg.pipeline.generation_model == "chat-x"
         assert cfg.pipeline.target_samples == 200
         assert cfg.pipeline.subset_sizes == (10, 100)
-        assert cfg.generation_profile == "main"
-        assert cfg.embedding_profile == "main"  # defaults to generation profile
-        assert cfg.eval_threshold == 60.0
-        assert [m.label for m in cfg.eval_models] == ["base", "tuned"]
-        assert cfg.eval_models[1].training_set_size == 9000
+        assert cfg.run.generation_profile == "main"
+        assert cfg.run.embedding_profile == "main"  # defaults to generation profile
+        assert cfg.eval.threshold == 60.0
+        assert [m.label for m in cfg.eval.models] == ["base", "tuned"]
+        assert cfg.eval.models[1].training_set_size == 9000
         assert cfg.paths.output_dir == "runs/test"
         assert cfg.gateway_for("main").max_retries == 2
 
@@ -141,7 +153,7 @@ eval:
 TYPED_SECTIONS = {
     PipelineConfig: ("pipeline section", lambda cfg: cfg.pipeline),
     GatewayConfig: ("gateway 'main'", lambda cfg: cfg.gateway_for("main")),
-    EvalModelSpec: ("eval model #0", lambda cfg: cfg.eval_models[0]),
+    EvalModelSpec: ("eval model #0", lambda cfg: cfg.eval.models[0]),
 }
 NUMERIC_FIELDS = [
     pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
@@ -190,10 +202,24 @@ class TestNumericFields:
         for key in ("max_attempts", "concurrency_limit", "max_output_tokens"):
             with pytest.raises(ValueError, match=f"{key} must be >= 1"):
                 PipelineConfig(**{key: 0})
-        spec = dict(label="m", profile="p", model_id="x", system_prompt="s")
+        spec = dict(label="m", profile="p", model="x", system_prompt="s")
         for key in ("max_output_tokens", "training_set_size"):
             with pytest.raises(ValueError, match=f"{key} must be >= 1"):
                 EvalModelSpec(**spec, **{key: -3})
+
+    @pytest.mark.parametrize("cls, values, message", [
+        (PipelineConfig, {"generation_temperature": -1}, "generation_temperature must be >= 0"),
+        (PipelineConfig, {"validation_size": -10}, "validation_size must be >= 1"),
+        (PipelineConfig, {"subset_sizes": (-5,)}, "subset_sizes: -5 is not in [1, 9000]"),
+        (PipelineConfig, {"subset_sizes": ()}, "subset_sizes must list at least one size"),
+        (EvalConfig, {"threshold": math.nan}, "threshold must be in"),
+        (PromptsConfig, {"simplify": "{answr}"}, "simplify may use only"),
+        (PromptsConfig, {"qa_generation": "{section_text} }"}, "qa_generation may use only"),
+        (PromptsConfig, {"qa_generation": ""}, "qa_generation must be non-empty"),
+    ])
+    def test_value_rules_hold_for_library_callers(self, cls, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**values)
 
 
 class TestSecrets:
@@ -201,8 +227,18 @@ class TestSecrets:
         # the variable is deliberately unset: loading must not need the key
         monkeypatch.delenv("MAIN_GW_KEY", raising=False)
         cfg = load_run_config(write_config(tmp_path, FULL_CONFIG))
-        assert cfg.gateway_for("main").api_key_env_name == "MAIN_GW_KEY"
+        assert cfg.gateway_for("main").api_key_env == "MAIN_GW_KEY"
         assert "MAIN_GW_KEY" not in os.environ
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("      model: chat-x\n", "      model: 7\n",
+         "eval model #0: model must be of type str, got 7"),
+        ("    api_key_env: MAIN_GW_KEY\n", "    api_key_env: 5\n",
+         "gateway 'main': api_key_env must be of type str, got 5"),
+    ])
+    def test_type_error_names_the_yaml_key(self, tmp_path, old, new, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(write_config(tmp_path, FULL_CONFIG.replace(old, new, 1)))
 
     def test_missing_api_key_env_field(self, tmp_path):
         text = (
@@ -216,7 +252,7 @@ class TestSecrets:
     def test_shipped_default_config_never_reads_keys(self):
         cfg = load_run_config(REPO_ROOT / "configs" / "default.yaml")
         for name, gateway in cfg.gateways.items():
-            assert gateway.api_key_env_name.isupper(), name
+            assert gateway.api_key_env.isupper(), name
 
     def test_shipped_dryrun_config_loads_offline(self):
         cfg = load_run_config(REPO_ROOT / "configs" / "dryrun.yaml")
@@ -269,7 +305,7 @@ class TestEvalSection:
 
     def test_threshold_ceiling_is_the_formula_maximum(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path, "eval:\n  threshold: 121.22\n"))
-        assert cfg.eval_threshold == 121.22
+        assert cfg.eval.threshold == 121.22
 
     def test_duplicate_labels_rejected(self, tmp_path):
         text = FULL_CONFIG.replace("label: tuned", "label: base")
@@ -297,7 +333,7 @@ class TestEvalSection:
             "      training_set_size: 9000\n      max_output_tokens: ${EVAL_MAX_TOKENS}\n",
         )
         cfg = load_run_config(write_config(tmp_path, text))
-        assert [m.max_output_tokens for m in cfg.eval_models] == [512, 256]
+        assert [m.max_output_tokens for m in cfg.eval.models] == [512, 256]
 
     def test_preset_and_literal_prompt_conflict(self, tmp_path):
         text = FULL_CONFIG.replace(
@@ -318,7 +354,7 @@ class TestEvalSection:
             "      system_prompt: Answer like a radio host.",
         )
         cfg = load_run_config(write_config(tmp_path, text))
-        assert cfg.eval_models[0].system_prompt == "Answer like a radio host."
+        assert cfg.eval.models[0].system_prompt == "Answer like a radio host."
 
     def test_missing_prompt_rejected(self, tmp_path):
         text = FULL_CONFIG.replace(
@@ -329,9 +365,11 @@ class TestEvalSection:
 
 
 def schema_keys(section: str, indent: int) -> list[str]:
-    """Keys CONFIG_SCHEMA lists at `indent` under the top-level `section`."""
+    """Keys CONFIG_SCHEMA lists at `indent` under the top-level `section`; a
+    list entry's "- " counts as indentation."""
     keys, current = [], None
-    for line in CONFIG_SCHEMA.splitlines():
+    for line in CONFIG_SCHEMA.split("\n\n", 1)[1].splitlines():
+        line = re.sub(r"^( *)- ", r"\1  ", line)
         if line and not line[0].isspace():
             current = line.split(":", 1)[0]
         elif current == section and line[:indent].isspace() and line[indent] != " ":
@@ -339,12 +377,38 @@ def schema_keys(section: str, indent: int) -> list[str]:
     return keys
 
 
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 class TestSchemaText:
     def test_pipeline_keys_match_the_dataclass(self):
-        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
-        assert schema_keys("pipeline", 2) == fields
+        assert schema_keys("pipeline", 2) == field_names(PipelineConfig)
 
     def test_gateway_keys_match_the_dataclass(self):
-        renamed = {"api_key_env_name": "api_key_env"}
-        fields = [renamed.get(f.name, f.name) for f in dataclasses.fields(GatewayConfig)]
-        assert schema_keys("gateways", 4) == fields
+        assert schema_keys("gateways", 4) == field_names(GatewayConfig)
+
+    @pytest.mark.parametrize("section, indent, cls", [
+        ("run", 2, RunProfiles),
+        ("eval", 2, EvalConfig),
+        ("eval", 6, EvalModelSpec),
+        ("paths", 2, PathsConfig),
+        ("prompts", 2, PromptsConfig),
+    ])
+    def test_section_keys_match_the_dataclass(self, section, indent, cls):
+        assert schema_keys(section, indent) == field_names(cls)
+
+    def test_sections_match_the_run_config(self):
+        body = CONFIG_SCHEMA.split("\n\n", 1)[1]
+        sections = [line.split(":", 1)[0] for line in body.splitlines() if not line[0].isspace()]
+        assert sections == field_names(RunConfig)
+
+    def test_preset_names_are_listed(self):
+        assert "system_prompt_preset: verbose-base | concise-finetune" in CONFIG_SCHEMA
+
+    def test_quoted_variable_list_example_loads(self, tmp_path, monkeypatch):
+        example = re.search(r"subset_sizes: \[.*?\]", CONFIG_SCHEMA).group(0)
+        monkeypatch.setenv("A", "10")
+        monkeypatch.setenv("B", "20")
+        cfg = load_run_config(write_config(tmp_path, f"pipeline:\n  {example}\n"))
+        assert cfg.pipeline.subset_sizes == (10, 20)

@@ -24,7 +24,7 @@ from convoforge.gateway import GatewayConfig, NetworkError, TranscriptTransport
 from convoforge.pipeline import _AHEAD, QaSample
 
 GATEWAY = GatewayConfig(
-    base_url="https://eval.test.invalid", api_key_env_name="EVAL_TEST_KEY",
+    base_url="https://eval.test.invalid", api_key_env="EVAL_TEST_KEY",
     max_retries=0, backoff_base=0.001,
 )
 

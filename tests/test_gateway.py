@@ -28,7 +28,7 @@ from convoforge.gateway import (
 
 CONFIG = GatewayConfig(
     base_url="https://api.test.invalid/v1",
-    api_key_env_name="GW_TEST_KEY",
+    api_key_env="GW_TEST_KEY",
     backoff_base=0.001,
 )
 
@@ -79,7 +79,7 @@ class TestCompleteChat:
 
     def test_server_errors_exhaust_retries(self):
         config = GatewayConfig(
-            base_url=CONFIG.base_url, api_key_env_name=CONFIG.api_key_env_name,
+            base_url=CONFIG.base_url, api_key_env=CONFIG.api_key_env,
             max_retries=1, backoff_base=0.001,
         )
         transport = TranscriptTransport([
@@ -279,11 +279,11 @@ class TestApiKeys:
 class TestBackoff:
     def test_retry_budget_is_capped(self):
         with pytest.raises(ValueError, match="max_retries"):
-            GatewayConfig(base_url="https://x", api_key_env_name="K", max_retries=9)
+            GatewayConfig(base_url="https://x", api_key_env="K", max_retries=9)
 
     def test_delay_grows_and_stays_under_bound(self):
         config = GatewayConfig(
-            base_url="https://x", api_key_env_name="K",
+            base_url="https://x", api_key_env="K",
             max_retries=3, backoff_base=0.01,
         )
         transport = TranscriptTransport(
@@ -299,7 +299,7 @@ class TestBackoff:
     @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0, max_value=1))
     def test_delay_formula_bounds(self, retry_number, jitter):
         config = GatewayConfig(
-            base_url="https://x", api_key_env_name="K", backoff_base=0.5, max_retries=8
+            base_url="https://x", api_key_env="K", backoff_base=0.5, max_retries=8
         )
         delay = backoff_delay(config, retry_number, lambda: jitter)
         floor = 0.5 * 2 ** (retry_number - 1)
