@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from . import prompts
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
-from .dedup import DEDUP_THRESHOLD, find_violations, load_index
+from .dedup import find_violations, load_index
 from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
@@ -35,6 +35,7 @@ from .gateway import (
 )
 from .pipeline import (
     INDEX_FILENAME,
+    PipelineConfig,
     SAMPLES_FILENAME,
     export_finetune_file,
     load_samples,
@@ -279,18 +280,21 @@ def cmd_export(args) -> int:
 
 
 def cmd_dedup_check(args) -> int:
-    threshold = args.threshold
+    pipeline_config = PipelineConfig()
     index_path = args.index
     if args.config:
         cfg = load_run_config(args.config)
-        if threshold is None:
-            threshold = cfg.pipeline.dedup_threshold
+        pipeline_config = cfg.pipeline
         if index_path is None:
             index_path = str(Path(cfg.paths.output_dir) / INDEX_FILENAME)
+    if args.threshold is not None:
+        try:  # an override obeys the rule for pipeline.dedup_threshold
+            pipeline_config = replace(pipeline_config, dedup_threshold=args.threshold)
+        except ValueError as exc:
+            raise ConfigError(f"--threshold: {exc}") from exc
     if index_path is None:
         raise ValueError("--index is required when no --config is given")
-    if threshold is None:
-        threshold = DEDUP_THRESHOLD
+    threshold = pipeline_config.dedup_threshold
     index = load_index(index_path, threshold=threshold)
     violations = find_violations(index)
     if not violations:

@@ -9,6 +9,12 @@ are the rows of one float64 matrix whose capacity doubles when full,
 beside one array of their norms. At ten thousand entries approximate
 search gains nothing, and exactness keeps the boundary testable.
 
+An EmbeddingVector holds one read-only 1-D float64 array, parsed once,
+where the gateway reads the endpoint's reply or load_index a snapshot
+line, and checked there: one dimension, at least one component, all
+finite. The index copies that array into its matrix without boxing a
+component, and never keeps a reference to it.
+
 The insert check, the violation scan and cosine_similarity share one
 kernel, `_similarities`, built on np.einsum rather than `@`: einsum
 reduces each row alone, on one thread, so a row's bits do not depend on
@@ -18,7 +24,6 @@ scan thus never flags a pair that the index accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,24 +33,52 @@ import numpy as np
 DEDUP_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """One embedding: a read-only 1-D float64 array of finite components.
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
+    The constructor copies `values` (a sequence or array) once; nothing a
+    caller does to its own list or array afterwards reaches the vector.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, values):
+        array = np.array(values, dtype=np.float64)
+        if array.ndim != 1:
+            raise ValueError(f"embedding must be a flat list of numbers, got shape {array.shape}")
+        if not array.size:
             raise ValueError("embedding must have at least one component")
-        if not all(math.isfinite(v) for v in self.values):
+        if not np.isfinite(array).all():
             raise ValueError("embedding components must be finite")
+        array.flags.writeable = False
+        self._array = array
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._array
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
 
     @property
     def dimension(self) -> int:
-        return len(self.values)
+        return self._array.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector({self._array.tolist()!r})"
 
     @classmethod
     def from_iterable(cls, values: Iterable[float]) -> "EmbeddingVector":
-        return cls(tuple(values))
+        return cls(list(values))
 
 
 def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.ndarray:
@@ -54,11 +87,10 @@ def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.
 
 
 def _as_row(vector: EmbeddingVector) -> tuple[np.ndarray, float]:
-    arr = np.asarray(vector.values, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
+    norm = float(np.linalg.norm(vector.array))
     if norm == 0.0:
         raise ValueError("cosine similarity is undefined for zero-magnitude vectors")
-    return arr, norm
+    return vector.array, norm
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -109,6 +141,7 @@ class QuestionIndex:
         return _as_row(vector)
 
     def _insert(self, sample_id: str, arr: np.ndarray, norm: float) -> None:
+        """Copy `arr` into the next row; the index never aliases a caller's array."""
         n = len(self._ids)
         if n == len(self._rows):  # full: double the capacity, 16 rows at first
             rows = np.empty((max(2 * n, 16), arr.size))
@@ -158,6 +191,7 @@ def save_index(index: QuestionIndex, path) -> None:
 
 
 def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:
+    """Read a save_index snapshot; errors name the file and line."""
     index = QuestionIndex(threshold=threshold)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -166,10 +200,13 @@ def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:
                 continue
             try:
                 sample_id, decimals = line.split("\t")
-                vector = EmbeddingVector.from_iterable(float(v) for v in decimals.split(" "))
+                vector = EmbeddingVector(decimals.split(" "))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed index line") from exc
-            index.add_unchecked(sample_id, vector)
+            try:
+                index.add_unchecked(sample_id, vector)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return index
 
 

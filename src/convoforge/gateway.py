@@ -328,7 +328,7 @@ def embed_texts(
     body = response.body
     try:
         rows = sorted(body["data"], key=lambda row: row["index"])
-        vectors = [EmbeddingVector.from_iterable(row["embedding"]) for row in rows]
+        vectors = [EmbeddingVector(row["embedding"]) for row in rows]
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed embeddings body: {_excerpt(body)}") from exc
     if len(vectors) != len(texts):

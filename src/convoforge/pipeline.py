@@ -121,7 +121,7 @@ class PipelineConfig:
         if self.min_section_chars < 0:
             raise ValueError("min_section_chars must be >= 0")
         if not 0 < self.dedup_threshold <= 1:
-            raise ValueError("dedup_threshold must be in (0, 1]")
+            raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
 
 
 @dataclass

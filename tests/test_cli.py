@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, dry runs, network isolation."""
 
+import hashlib
 import json
 import threading
 
@@ -488,6 +489,36 @@ class TestEval:
         assert "llama-finetuned,,97.4," in aggregate
 
 
+# sha256 of each artifact of the 50-section dry run and of its eval with
+# --similarity, recorded with numpy 2.4.6 on x86-64 Linux. The other tests
+# compare one run against another; these catch a change to the parse or
+# the cosine kernel that moves any bit of a vector or a similarity.
+GOLDEN_SHA256 = {
+    "run/samples.jsonl": "b176d789ff220a32a2411c12b880182cac38898e98d7f2f7d9b328b75bbacb4a",
+    "run/index.tsv": "28bc4ebffb3d20f2ae1c5a3afb4d72cb49f7214f7e080da4a6ab78b8ecaadc5c",
+    "run/manifest.json": "69276ccd59bad3f9294e51b16b139d2b66738b93b9350a8ac45af0afd1b4ecbe",
+    "eval/report.json": "c0e4af5e2e3152f71d936b086e67bf39f627433dc6d54a8f4af686141ce9fa32",
+    "eval/records.csv": "cbd8ee9c5b768d607323f4c79e4b1be6baa9928c75921d57e9ea1210d7fd170f",
+    "eval/aggregate.csv": "251a875e0a14271c3f019467d5f284521f140f0d94f024721f113bc417f34da2",
+}
+
+
+def test_dry_run_and_eval_keep_their_golden_bytes(capsys, synthesized_run):
+    config = synthesized_run / "eval.yaml"
+    config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+    sim = SimulatedModelTransport()
+    code, _, _ = run_cli(
+        capsys, "eval", "--config", str(config), "--similarity",
+        "--out", str(synthesized_run / "eval"), transport_factory=lambda profile, gw: sim,
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((synthesized_run / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
+
+
 class TestExport:
     def export_config(self, synthesized_run):
         config = synthesized_run / "export.yaml"
@@ -550,3 +581,18 @@ class TestDedupCheck:
         code, _, err = run_cli(capsys, "dedup-check")
         assert code == 3
         assert "--index" in err
+
+    @pytest.mark.parametrize("threshold", ["5", "0", "-1", "nan"])
+    def test_threshold_override_obeys_the_config_rule(self, capsys, tmp_path, threshold):
+        # The index does not exist: the value is rejected before it is read.
+        code, out, err = run_cli(capsys, "dedup-check", "--index", str(tmp_path / "none.tsv"),
+                                 "--threshold", threshold)
+        assert code == 2
+        assert "--threshold: dedup_threshold must be in (0, 1]" in err
+        assert out == ""
+
+    def test_threshold_of_one_is_accepted(self, capsys, synthesized_run):
+        index = synthesized_run / "run" / "index.tsv"
+        code, out, _ = run_cli(capsys, "dedup-check", "--index", str(index), "--threshold", "1.0")
+        assert code == 0
+        assert "no similarity violations among 42 entries at threshold 1.0" in out

@@ -65,6 +65,45 @@ class TestCosine:
         assert cosine_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestEmbeddingVector:
+    def test_holds_a_read_only_float64_copy(self):
+        source = np.array([0.6, 0.8])
+        vector = EmbeddingVector(source)
+        assert vector.array.dtype == np.float64 and vector.array.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            vector.array[0] = 1.0
+        source[0] = 5.0
+        assert vector.values == (0.6, 0.8)
+        assert source.flags.writeable  # the caller's array is left as it was
+
+    def test_values_equality_and_hash(self):
+        assert vec(1, 2).values == (1.0, 2.0)
+        assert vec(1, 2) == EmbeddingVector(np.array([1.0, 2.0]))
+        assert vec(1, 2) != vec(1, 2, 0) and vec(1, 2) != vec(2, 1)
+        assert hash(vec(1, 2)) == hash(EmbeddingVector([1.0, 2.0]))
+        assert vec(1, 2).dimension == 2
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 0.0]], 1.0, None, [None, 1.0], [], [float("inf")], [[1.0], [2.0, 3.0]],
+    ], ids=["nested", "number", "none", "none-component", "empty", "inf", "ragged"])
+    def test_rejects_anything_but_a_flat_finite_list(self, values):
+        with pytest.raises(ValueError):
+            EmbeddingVector(values)
+
+    def test_index_does_not_alias_the_source(self, tmp_path):
+        source = np.array([1.0, 0.0, 0.0])
+        index = QuestionIndex(threshold=0.8)
+        index.check_and_insert("a", EmbeddingVector(source))
+        index.add_unchecked("b", vec(0, 1, 0))
+        before = tmp_path / "before.tsv"
+        save_index(index, before)
+        source[:] = [0.0, 1.0, 0.0]  # would now duplicate "b"
+        after = tmp_path / "after.tsv"
+        save_index(index, after)
+        assert after.read_bytes() == before.read_bytes()
+        assert find_violations(index) == []
+
+
 class TestIndexBoundary:
     def test_first_entry_always_accepted(self):
         index = QuestionIndex(threshold=0.8)
@@ -159,6 +198,19 @@ class TestSnapshot:
         path = tmp_path / "index.tsv"
         save_index(index, path)
         assert path.read_text(encoding="utf-8") == "qa-1\t0.5 -1.25\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\t1.0 0.0\nb\t1.0 0.0 0.5\n", "dimension mismatch: index holds 2, got 3"),
+        ("a\t1.0 0.0\nb\t0.0 1.0\na\t0.5 0.5\n", "duplicate sample_id 'a'"),
+        ("a\t1.0 0.0\nb\t1.0 nan\n", "malformed index line"),
+    ], ids=["ragged", "duplicate-id", "non-finite"])
+    def test_rejected_line_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "index.tsv"
+        path.write_text(text, encoding="utf-8")
+        line_no = text.count("\n")
+        with pytest.raises(ValueError) as info:
+            load_index(path)
+        assert str(info.value) == f"{path}:{line_no}: {message}"
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "index.tsv"

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given
@@ -239,6 +240,36 @@ class TestEmbeddings:
         transport = TranscriptTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="dimensions"):
             embed_texts(CONFIG, "emb", ["a", "b"], transport)
+
+    # np.array would turn None into nan, a nested list into a 2-D array and
+    # a bare number or a string into a 0-D array; each must fail the call.
+    @pytest.mark.parametrize("embedding", [
+        [None, 1.0],
+        [[1.0, 0.0]],
+        1.0,
+        "12",
+        [],
+        [float("nan"), 1.0],
+        [float("inf"), 1.0],
+        [10**400, 1.0],
+        [[1.0], [2.0, 3.0]],
+    ], ids=["none", "nested", "number", "string", "empty", "nan", "inf", "huge-int", "ragged"])
+    def test_malformed_embedding_is_a_protocol_error(self, embedding):
+        body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
+        transport = TranscriptTransport([{"status": 200, "body": body}])
+        with pytest.raises(ProtocolError, match="malformed"):
+            embed_texts(CONFIG, "emb", ["only"], transport, sleep=NO_SLEEP)
+
+    def test_returned_vectors_are_read_only_copies(self):
+        embedding = [0.6, 0.8]
+        body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
+        transport = TranscriptTransport([{"status": 200, "body": body}])
+        (vector,) = embed_texts(CONFIG, "emb", ["only"], transport)
+        assert vector.array.dtype == np.float64 and not vector.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector.array[0] = 1.0
+        embedding[0] = 5.0
+        assert vector.values == (0.6, 0.8)
 
     def test_empty_input_rejected_without_io(self):
         transport = TranscriptTransport([])
