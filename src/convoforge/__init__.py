@@ -1,100 +1,1 @@
 """convoforge: conversational QA dataset synthesis and style evaluation."""
-
-from convoforge.config import ConfigError, RunConfig, load_run_config
-from convoforge.dedup import (
-    DedupDecision,
-    EmbeddingVector,
-    QuestionIndex,
-    cosine_similarity,
-    load_index,
-    save_index,
-)
-from convoforge.evalharness import (
-    EvalRecord,
-    EvalReport,
-    build_report,
-    emit_report,
-    generate_responses,
-    pct_conversational,
-)
-from convoforge.gateway import (
-    AuthenticationError,
-    ChatCompletion,
-    ChatMessage,
-    CompletionRequest,
-    GatewayConfig,
-    GatewayError,
-    MissingApiKeyError,
-    NetworkError,
-    ProtocolError,
-    complete_chat,
-    embed_texts,
-)
-from convoforge.pipeline import (
-    CorpusSection,
-    PipelineConfig,
-    QaSample,
-    export_finetune_file,
-    ingest_corpus,
-    run_pipeline,
-    split_dataset,
-)
-from convoforge.prompts import CONCISE_FINETUNE_PROMPT, PRESETS, VERBOSE_BASE_PROMPT
-from convoforge.textmetrics import (
-    TextStats,
-    UnscorableTextError,
-    count_syllables,
-    flesch_reading_ease,
-    is_conversational,
-    segment_sentences,
-    tokenize_words,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuthenticationError",
-    "ChatCompletion",
-    "ChatMessage",
-    "CompletionRequest",
-    "ConfigError",
-    "CorpusSection",
-    "CONCISE_FINETUNE_PROMPT",
-    "DedupDecision",
-    "EmbeddingVector",
-    "EvalRecord",
-    "EvalReport",
-    "GatewayConfig",
-    "GatewayError",
-    "MissingApiKeyError",
-    "NetworkError",
-    "PipelineConfig",
-    "PRESETS",
-    "ProtocolError",
-    "QaSample",
-    "QuestionIndex",
-    "RunConfig",
-    "TextStats",
-    "UnscorableTextError",
-    "VERBOSE_BASE_PROMPT",
-    "build_report",
-    "complete_chat",
-    "cosine_similarity",
-    "count_syllables",
-    "embed_texts",
-    "emit_report",
-    "export_finetune_file",
-    "flesch_reading_ease",
-    "generate_responses",
-    "ingest_corpus",
-    "is_conversational",
-    "load_index",
-    "load_run_config",
-    "pct_conversational",
-    "run_pipeline",
-    "save_index",
-    "segment_sentences",
-    "split_dataset",
-    "tokenize_words",
-    "__version__",
-]

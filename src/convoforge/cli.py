@@ -4,7 +4,10 @@ Commands: score, synth, eval, export, dedup-check. Exit codes separate
 failure classes so scripts can branch on them: 0 success (including a
 partial dataset, which is flagged, not failed), 1 generic failure, 2
 configuration problems (bad file, missing API-key variable), 3 violated
-preconditions, 4 network trouble or a rejected API key.
+preconditions (including a --resume over files that disagree), 4 network
+trouble or a rejected API key. A synth call that still fails after its
+retries stops the run with 4, and --resume finishes it; eval counts such a
+call as a missing response.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ scan thus never flags a pair that the index accepted.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -132,6 +133,11 @@ class QuestionIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
+    @property
+    def ids(self) -> list[str]:
+        """Sample ids in insertion order."""
+        return list(self._ids)
+
     def _prepare(self, sample_id: str, vector: EmbeddingVector) -> tuple[np.ndarray, float]:
         if sample_id in self._id_set:
             raise ValueError(f"duplicate sample_id {sample_id!r}")
@@ -183,11 +189,17 @@ class QuestionIndex:
 
 
 def save_index(index: QuestionIndex, path) -> None:
-    """One entry per line: sample_id, tab, space-separated decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One entry per line: sample_id, tab, space-separated decimals.
+
+    Written to a temp file beside path and renamed over it, so an
+    interrupted save leaves the previous snapshot whole.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         for sample_id, row in zip(index._ids, index._rows):
             decimals = " ".join(repr(v) for v in row.tolist())
             fh.write(f"{sample_id}\t{decimals}\n")
+    os.replace(tmp, path)
 
 
 def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:

@@ -11,12 +11,20 @@ sections consumed.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions and file appends, so a fixed seed is bit-identical.
+
+One failure rule: a bad reply ends only its section, as a
+generation_error; a call that still fails after its retries, a rejected
+key or any other error ends the run. Sections before the failing one
+stay committed, the failing one and all later ones leave no trace, and
+the index is saved on the way out, so --resume finishes the run with the
+samples, index and manifest an uninterrupted run writes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +37,7 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 
 from . import prompts
 from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
-from .gateway import ChatMessage, NetworkError, ProtocolError, check_fields
+from .gateway import ChatMessage, ProtocolError, check_fields
 from .textmetrics import UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -268,6 +276,11 @@ def _process_section(
     Returns the section's trace and, for a gate-passing answer, the
     candidate sample with its question embedding. The serial stage
     settles a candidate's outcome with the dedup decision.
+
+    A bad reply (QaParseError, ProtocolError, UnscorableTextError) ends
+    only this section, as a generation_error. Anything else, such as a
+    NetworkError after the gateway's retries, propagates and ends the run
+    before this section is consumed.
     """
     trace = GenerationTrace(
         section_id=section.section_id, outcome="generation_error", started_at=_utc_now()
@@ -291,14 +304,10 @@ def _process_section(
                 attempts_used=len(scores),
                 section_id=section.section_id,
             )
-            try:
-                # Embedding is paid only for gate-passing samples, right before
-                # the dedup decision.
-                candidate = (sample, embed([question])[0])
-            except (NetworkError, ProtocolError) as exc:
-                trace.error = f"embedding failed: {exc}"
-    # Per-call failures end only this section; a rejected key ends the run.
-    except (QaParseError, NetworkError, ProtocolError, UnscorableTextError) as exc:
+            # Embedding is paid only for gate-passing samples, right before
+            # the dedup decision.
+            candidate = (sample, embed([question])[0])
+    except (QaParseError, ProtocolError, UnscorableTextError) as exc:
         trace.error = str(exc)
     trace.finished_at = _utc_now()
     return trace, candidate
@@ -338,21 +347,37 @@ def load_samples(path) -> list[QaSample]:
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
+    """The samples, consumed section ids, outcome counts and index on disk.
+
+    Refuses (ValueError) unless the index, samples.jsonl and the accepted
+    traces list the same sample ids in the same order, as every exit that
+    runs run_pipeline's finally leaves them; a SIGKILL can leave them apart.
+    """
     samples_path = out_dir / SAMPLES_FILENAME
     samples = load_samples(samples_path) if samples_path.exists() else []
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
+    accepted_ids = []
     traces_path = out_dir / TRACES_FILENAME
     if traces_path.exists():
         for record in read_corpus_file(traces_path):
             consumed.add(record["section_id"])
             if record["outcome"] in counts:
                 counts[record["outcome"]] += 1
+            if record["outcome"] == "accepted":
+                accepted_ids.append(record["sample_id"])
     index_path = out_dir / INDEX_FILENAME
     if index_path.exists():
         index = load_index(index_path, threshold=config.dedup_threshold)
     else:
         index = QuestionIndex(threshold=config.dedup_threshold)
+    sample_ids = [sample.sample_id for sample in samples]
+    if not index.ids == sample_ids == accepted_ids:
+        raise ValueError(
+            f"{out_dir}: cannot resume: {INDEX_FILENAME} holds {len(index)} ids, "
+            f"{SAMPLES_FILENAME} {len(sample_ids)} and the accepted traces "
+            f"{len(accepted_ids)}, and they must be the same ids in the same order"
+        )
     return samples, consumed, counts, index
 
 
@@ -373,45 +398,52 @@ def run_pipeline(
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
     With resume=True, previously consumed sections are skipped and
-    existing outputs are extended; otherwise all four artifacts are
-    deleted first, so nothing of an earlier run is extended.
+    existing outputs are extended; otherwise samples, traces and index
+    are deleted first, so nothing of an earlier run is extended.
+
+    Every exit from the serial stage, an exception included, saves the
+    index, so it holds exactly the accepted samples and --resume can
+    finish the run. manifest.json is deleted at the start and written
+    only when the run finishes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not resume:
-        for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME):
+        for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME):
             (out_dir / name).unlink(missing_ok=True)
 
     ingest = ingest_corpus(records, config)
     samples, consumed, counts, index = _load_resume_state(out_dir, config)
+    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
     sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]
     consumed_sections = len(consumed)
 
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
 
-    with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
-            open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
-            closing(ordered_map(work, sections, config.concurrency_limit,
-                                lambda: config.target_samples - len(samples))) as results:
-        for trace, candidate in results:
-            if candidate is not None:
-                sample, embedding = candidate
-                decision = index.check_and_insert(sample.sample_id, embedding)
-                if decision.accepted:
-                    samples.append(sample)
-                    samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
-                    trace.outcome = "accepted"
-                    trace.sample_id = sample.sample_id
-                else:
-                    trace.outcome = "rejected_duplicate"
-                    trace.nearest_id = decision.nearest_id
-                    trace.nearest_similarity = decision.nearest_similarity
-            counts[trace.outcome] += 1
-            consumed_sections += 1
-            traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
-
-    save_index(index, out_dir / INDEX_FILENAME)
+    try:
+        with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
+                open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
+                closing(ordered_map(work, sections, config.concurrency_limit,
+                                    lambda: config.target_samples - len(samples))) as results:
+            for trace, candidate in results:
+                if candidate is not None:
+                    sample, embedding = candidate
+                    decision = index.check_and_insert(sample.sample_id, embedding)
+                    if decision.accepted:
+                        samples.append(sample)
+                        samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
+                        trace.outcome = "accepted"
+                        trace.sample_id = sample.sample_id
+                    else:
+                        trace.outcome = "rejected_duplicate"
+                        trace.nearest_id = decision.nearest_id
+                        trace.nearest_similarity = decision.nearest_similarity
+                counts[trace.outcome] += 1
+                consumed_sections += 1
+                traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
+    finally:
+        save_index(index, out_dir / INDEX_FILENAME)
 
     shortfall = len(samples) < config.target_samples
     if shortfall:
@@ -428,9 +460,11 @@ def run_pipeline(
         "sample_count": len(samples),
         "shortfall": shortfall,
     }
-    with open(out_dir / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
+    manifest_tmp = out_dir / (MANIFEST_FILENAME + ".tmp")
+    with open(manifest_tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(manifest_tmp, out_dir / MANIFEST_FILENAME)
     return PipelineResult(manifest=manifest, samples=samples)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,10 @@ from convoforge.gateway import CompletionRequest, GatewayConfig, complete_chat, 
 from convoforge.simulate import SimulatedModelTransport
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# A section's first chat call is its QA prompt, which quotes the section
+# text; every fixture section text opens with "Section <id>.".
+QA_SECTION_RE = re.compile(r"\bSection (sec-[a-z-]+-\d+)\.")
 
 # A published worked example: three plain sentences that land in the
 # low eighties. Used as a scoring anchor and as export payload.

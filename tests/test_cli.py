@@ -9,10 +9,10 @@ import yaml
 
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
-from conftest import DATA_DIR
+from conftest import DATA_DIR, QA_SECTION_RE
 from convoforge.config import ConfigError, load_run_config
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TranscriptTransport, TransportResponse
-from convoforge.pipeline import PipelineConfig
+from convoforge.pipeline import PipelineConfig, ingest_corpus, read_corpus_file
 from convoforge.simulate import SimulatedModelTransport
 
 
@@ -347,6 +347,112 @@ class TestRejectedKey:
         assert "HTTP 401" in err
         assert 1 <= transport.rejected <= self.MAX_POSTS
         assert not (synthesized_run / "run" / "eval").exists()
+
+
+class OutageFrom(SimulatedModelTransport):
+    """Serves posts from the simulator until post `first_failing`, then answers
+    503 to every post, as an endpoint in an outage does. Remembers the section
+    whose QA prompt came last before the outage: at concurrency_limit 1, the
+    section the outage hit."""
+
+    def __init__(self, first_failing):
+        self.first_failing = first_failing
+        self.posts = 0
+        self.last_section = None
+        self.hit_section = None
+        self._lock = threading.Lock()
+
+    def post(self, path, payload):
+        with self._lock:
+            self.posts += 1
+            if path == CHAT_PATH:
+                match = QA_SECTION_RE.search(payload["messages"][-1]["content"])
+                if match:
+                    self.last_section = match.group(1)
+            if self.posts < self.first_failing:
+                return super().post(path, payload)
+            if self.hit_section is None:
+                self.hit_section = self.last_section
+        return TransportResponse(status=503, body={"error": "service unavailable"})
+
+
+def live_config(tmp_path):
+    """Synth against the `sim` gateway, one call in flight, one retry at once."""
+    path = tmp_path / "live.yaml"
+    path.write_text(
+        "pipeline:\n"
+        "  embedding_model: sim-embed\n"
+        "  concurrency_limit: 1\n"
+        "gateways:\n"
+        "  sim:\n"
+        "    base_url: https://sim.invalid\n"
+        "    api_key_env: SIM_SYNTH_KEY\n"
+        "    max_retries: 1\n"
+        "    backoff_base: 0\n"
+        "run:\n"
+        "  generation_profile: sim\n"
+        "paths:\n"
+        f"  corpus: {DATA_DIR / 'corpus_50.jsonl'}\n"
+        f"  output_dir: {tmp_path / 'run'}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestResume:
+    def test_outage_stops_synth_and_resume_finishes_it(self, capsys, tmp_path):
+        config = live_config(tmp_path)
+        outage = OutageFrom(60)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config),
+                               transport_factory=lambda profile, gw: outage)
+        assert code == 4
+        assert "HTTP 503" in err
+        order = [s.section_id for s in ingest_corpus(
+            read_corpus_file(DATA_DIR / "corpus_50.jsonl"), PipelineConfig()).sections]
+        traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
+        assert [t["section_id"] for t in traces] == order[:order.index(outage.hit_section)]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+        healthy = SimulatedModelTransport()
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--resume",
+                             transport_factory=lambda profile, gw: healthy)
+        assert code == 0
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config),
+                             "--out", str(tmp_path / "whole"),
+                             transport_factory=lambda profile, gw: healthy)
+        assert code == 0
+        for name in ("samples.jsonl", "index.tsv", "manifest.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "whole" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["deleted", "last line dropped"])
+    def test_resume_refuses_an_index_that_disagrees_with_the_samples(
+        self, capsys, synthesized_run, damage
+    ):
+        run_dir = synthesized_run / "run"
+        index = run_dir / "index.tsv"
+        if damage == "deleted":
+            index.unlink()
+        else:
+            index.write_text("".join(index.read_text("utf-8").splitlines(True)[:-1]), "utf-8")
+        before = {name: path.read_bytes() for name in ARTIFACTS
+                  if (path := run_dir / name).exists()}
+        config = write_dryrun_config(synthesized_run)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
+                               "--resume")
+        assert code == 3
+        held = 0 if damage == "deleted" else 41
+        assert f"index.tsv holds {held} ids, samples.jsonl 42 and the accepted traces 42" in err
+        assert {name: path.read_bytes() for name in ARTIFACTS
+                if (path := run_dir / name).exists()} == before
+
+    def test_resume_of_a_finished_run_changes_no_byte(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        config = write_dryrun_config(synthesized_run)
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
 class TestEval:

@@ -2,13 +2,14 @@
 
 import json
 import logging
-import re
 import threading
 import time
 
 import pytest
 
-from convoforge.gateway import NetworkError
+from conftest import QA_SECTION_RE
+from convoforge.dedup import find_violations, load_index
+from convoforge.gateway import NetworkError, ProtocolError
 from convoforge.pipeline import (
     _AHEAD,
     OUTCOMES,
@@ -63,11 +64,6 @@ def section_for(text="A plain test section.", section_id="sec-t-1") -> CorpusSec
     return CorpusSection(section_id=section_id, text=text)
 
 
-# A section's first chat call is its QA prompt, which quotes the section
-# text; every fixture section text opens with "Section <id>.".
-QA_SECTION_RE = re.compile(r"\bSection (sec-[a-z-]+-\d+)\.")
-
-
 def section_started(messages):
     """The section id when this is a QA prompt, else None."""
     match = QA_SECTION_RE.search(messages[-1].content)
@@ -76,6 +72,25 @@ def section_started(messages):
 
 def shuffled_ids(records) -> list[str]:
     return [s.section_id for s in ingest_corpus(records, PipelineConfig()).sections]
+
+
+def artifact_bytes(out_dir) -> dict[str, bytes]:
+    """The files a finished run leaves that a fixed seed pins byte for byte."""
+    return {name: (out_dir / name).read_bytes()
+            for name in ("samples.jsonl", "index.tsv", "manifest.json")}
+
+
+def assert_resumable(out_dir):
+    """The state an interrupted run must leave for --resume to finish it:
+    no manifest, one trace per consumed section in corpus order, and the
+    same ids in the index, the samples and the accepted traces."""
+    assert not (out_dir / "manifest.json").exists()
+    traces = read_corpus_file(out_dir / "traces.jsonl")
+    sample_ids = [r["sample_id"] for r in read_corpus_file(out_dir / "samples.jsonl")]
+    assert [t["sample_id"] for t in traces if t["outcome"] == "accepted"] == sample_ids
+    index = load_index(out_dir / "index.tsv")
+    assert index.ids == sample_ids
+    assert find_violations(index) == []
 
 
 class TestIngest:
@@ -332,35 +347,45 @@ class TestRunPipeline:
     def test_embedding_failure_is_a_generation_error(
         self, corpus50_records, sim_fns, tmp_path, golden_manifest
     ):
+        # A malformed reply ends only its section; a call that still fails
+        # after its retries ends the run before that section is consumed.
         failing = {f"sec-ok-0{n}0" for n in range(1, 5)}
+        raised = [ProtocolError("malformed embeddings body: {}")]
 
         def embed(texts):
             if any(sid in texts[0] for sid in failing):
-                raise NetworkError("connection reset")
+                raise raised[0]
             return sim_fns.embed(texts)
 
         result = run_pipeline(
-            PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path
+            PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path / "protocol"
         )
-        traces = read_corpus_file(tmp_path / "traces.jsonl")
+        traces = read_corpus_file(tmp_path / "protocol" / "traces.jsonl")
         failed = {t["section_id"]: t for t in traces if t["section_id"] in failing}
         assert set(failed) == failing
         for trace in failed.values():
             assert trace["outcome"] == "generation_error"
-            assert trace["error"].startswith("embedding failed: ")
+            assert trace["error"].startswith("malformed embeddings body")
             assert trace["attempt_scores"] and trace["attempt_scores"][-1] >= 75.0
             assert trace["sample_id"] is None
         counts = result.manifest["counts"]
         assert counts["accepted"] == golden_manifest["counts"]["accepted"] - len(failing)
         assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
         failed_ids = {f"qa-{sid}" for sid in failing}
-        on_disk = read_corpus_file(tmp_path / "samples.jsonl")
+        on_disk = read_corpus_file(tmp_path / "protocol" / "samples.jsonl")
         assert not failed_ids & {r["sample_id"] for r in on_disk}
-        index_ids = {
-            line.split("\t", 1)[0]
-            for line in (tmp_path / "index.tsv").read_text(encoding="utf-8").splitlines()
-        }
-        assert not failed_ids & index_ids
+        assert not failed_ids & set(load_index(tmp_path / "protocol" / "index.tsv").ids)
+
+        raised[0] = NetworkError("HTTP 503 from /embeddings: retries exhausted")
+        with pytest.raises(NetworkError):
+            run_pipeline(
+                PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path / "network"
+            )
+        order = shuffled_ids(corpus50_records)
+        first_failing = min(order.index(sid) for sid in failing)
+        traces = read_corpus_file(tmp_path / "network" / "traces.jsonl")
+        assert [t["section_id"] for t in traces] == order[:first_failing]
+        assert_resumable(tmp_path / "network")
 
     def test_trace_records_share_one_key_order(self, corpus50_records, sim_fns, tmp_path):
         run_pipeline(PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path)
@@ -433,9 +458,10 @@ class TestRunPipeline:
                 PipelineConfig(concurrency_limit=1), corpus50_records, chat, crashing.embed,
                 tmp_path,
             )
-        assert len(read_corpus_file(tmp_path / "samples.jsonl")) == 12
+        sample_ids = [r["sample_id"] for r in read_corpus_file(tmp_path / "samples.jsonl")]
+        assert len(sample_ids) == 12
         # Nothing of the finished run survives beside them.
-        assert not (tmp_path / "index.tsv").exists()
+        assert load_index(tmp_path / "index.tsv").ids == sample_ids
         assert not (tmp_path / "manifest.json").exists()
 
         resumed = SimFns()
@@ -443,9 +469,9 @@ class TestRunPipeline:
             PipelineConfig(), corpus50_records, resumed.chat, resumed.embed, tmp_path, resume=True,
         )
         assert result.manifest["consumed_sections"] == 50
-        assert sum(result.manifest["counts"].values()) == 50
-        sample_ids = [s.sample_id for s in result.samples]
-        assert len(sample_ids) == len(set(sample_ids))
+        whole = SimFns()
+        run_pipeline(PipelineConfig(), corpus50_records, whole.chat, whole.embed, tmp_path / "whole")
+        assert artifact_bytes(tmp_path) == artifact_bytes(tmp_path / "whole")
 
     def test_target_stop_then_resume_equals_an_uninterrupted_run(
         self, corpus50_records, tmp_path
@@ -545,6 +571,73 @@ class TestRunPipeline:
         assert in_flight[0] == 0
         assert {failing, failing + 1} <= started
         assert max(started) <= failing + _AHEAD * limit
+
+
+class FaultyFns:
+    """Simulated chat and embed; the `every`-th call of `stage` raises
+    `error`, counted across runs and threads."""
+
+    def __init__(self, error, every, stage):
+        from conftest import SimFns
+
+        self.fns, self.error, self.every, self.stage = SimFns(), error, every, stage
+        self.calls = {"chat": 0, "embed": 0}
+        self.raised = 0
+        self._lock = threading.Lock()
+
+    def _count(self, stage):
+        with self._lock:
+            self.calls[stage] += 1
+            if stage == self.stage and self.calls[stage] % self.every == 0:
+                self.raised += 1
+                raise self.error(f"injected fault at {stage} call {self.calls[stage]}")
+
+    def chat(self, messages, temperature):
+        self._count("chat")
+        return self.fns.chat(messages, temperature)
+
+    def embed(self, texts):
+        self._count("embed")
+        return self.fns.embed(texts)
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("limit", [1, 4])
+    @pytest.mark.parametrize("error", [NetworkError, RuntimeError])
+    @pytest.mark.parametrize("stage, every", [("chat", 9), ("embed", 4)])
+    def test_resume_after_every_fault_equals_an_uninterrupted_run(
+        self, corpus50_records, tmp_path, limit, error, stage, every
+    ):
+        from conftest import SimFns
+
+        config = PipelineConfig(concurrency_limit=limit)
+        whole = SimFns()
+        run_pipeline(config, corpus50_records, whole.chat, whole.embed, tmp_path / "whole")
+
+        out = tmp_path / "faulty"
+        faulty = FaultyFns(error, every, stage)
+        order = shuffled_ids(corpus50_records)
+        for attempt in range(100):
+            try:
+                result = run_pipeline(config, corpus50_records, faulty.chat, faulty.embed, out,
+                                      resume=attempt > 0)
+                break
+            except error as exc:
+                assert "injected fault" in str(exc)
+                assert_resumable(out)
+                traces = read_corpus_file(out / "traces.jsonl")
+                assert [t["section_id"] for t in traces] == order[:len(traces)]
+        else:
+            pytest.fail("no run finished in 100 attempts")
+
+        # Workers still running when a fault ends the run may raise more.
+        assert 0 < attempt <= faulty.raised
+        assert artifact_bytes(out) == artifact_bytes(tmp_path / "whole")
+        index = load_index(out / "index.tsv")
+        assert index.ids == [s.sample_id for s in result.samples]
+        assert find_violations(index) == []
+        counts = result.manifest["counts"]
+        assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
 
 
 class TestOrderedMap:
