@@ -25,8 +25,6 @@ from .dedup import find_violations, load_index
 from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
-    ChatMessage,
-    CompletionRequest,
     GatewayConfig,
     GatewayError,
     HttpTransport,
@@ -47,7 +45,7 @@ from .pipeline import (
     split_dataset,
 )
 from .simulate import SimulatedModelTransport
-from .textmetrics import UnscorableTextError, flesch_reading_ease
+from .textmetrics import flesch_reading_ease
 
 logger = logging.getLogger(__name__)
 
@@ -134,14 +132,8 @@ def cmd_score(args) -> int:
 
 def _chat_fn(gateway: GatewayConfig, model_id: str, max_tokens: int,
              transport: Transport):
-    def chat(messages: Sequence[ChatMessage], temperature: float) -> str:
-        request = CompletionRequest(
-            model_id=model_id,
-            messages=tuple(messages),
-            temperature=temperature,
-            max_output_tokens=max_tokens,
-        )
-        return complete_chat(gateway, request, transport).content
+    def chat(messages: Sequence[dict], temperature: float) -> str:
+        return complete_chat(gateway, model_id, messages, temperature, max_tokens, transport).content
 
     return chat
 
@@ -332,16 +324,13 @@ def main(argv: Optional[Sequence[str]] = None,
     except (ConfigError, MissingApiKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnscorableTextError, ValueError) as exc:
+    except ValueError as exc:  # UnscorableTextError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NetworkError, AuthenticationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
-    except GatewayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
+    except (GatewayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_FAILURE

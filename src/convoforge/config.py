@@ -46,8 +46,9 @@ class EvalModelSpec:
 
     def __post_init__(self):
         check_fields(self, positive=("max_output_tokens", "training_set_size"))
-        if not self.label:
-            raise ValueError("label must be non-empty")
+        for name in ("label", "model"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if not self.system_prompt:
             raise ValueError("a system prompt is required: system_prompt or system_prompt_preset")
 

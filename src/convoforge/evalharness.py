@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dedup import cosine_similarity
-from .gateway import ChatMessage, NetworkError, ProtocolError
+from .gateway import NetworkError, ProtocolError
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
 from .gateway import complete_chat, embed_texts  # noqa: F401
 from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
@@ -92,12 +92,14 @@ def generate_responses(
 ) -> list[tuple[str, Optional[str]]]:
     """One response per sample, in order, with at most `limit` calls in
     flight; None marks a failed call."""
-    system = ChatMessage("system", system_prompt)
+    if not system_prompt:
+        raise ValueError("system_prompt must be non-empty")
+    system = {"role": "system", "content": system_prompt}
     if not samples:
         raise ValueError("validation samples must be non-empty")
 
     def respond(sample: QaSample) -> tuple[str, Optional[str]]:
-        messages = [system, ChatMessage("user", sample.question)]
+        messages = [system, {"role": "user", "content": sample.question}]
         try:
             return sample.sample_id, chat(messages, EVAL_TEMPERATURE)
         except (NetworkError, ProtocolError) as exc:

@@ -5,6 +5,12 @@ One wire protocol covers every backend we talk to: POST
 bearer token pulled from the environment. Transient failures (429 and
 5xx) are retried with exponential backoff and jitter; auth failures are
 not. A transcript-driven transport stands in for the network in tests.
+
+A chat call's messages are the wire's {"role", "content"} objects, passed
+through unchanged: callers write the roles as literals (a user turn in
+synthesis, a system and a user turn in eval), and the model id,
+temperature and token cap were checked when the config loaded, so
+nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from typing import (
 import requests
 
 from .dedup import EmbeddingVector
-
-ROLES = ("system", "user", "assistant")
 
 CHAT_PATH = "/chat/completions"
 EMBEDDINGS_PATH = "/embeddings"
@@ -55,49 +59,6 @@ class NetworkError(GatewayError):
 
 class ProtocolError(GatewayError):
     """The endpoint answered, but not in the shape we require."""
-
-
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
-        # Empty system or user content would silently weaken the prompt.
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} message content must be non-empty")
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    model_id: str
-    messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-
-    def __post_init__(self):
-        if not self.model_id:
-            raise ValueError("model_id must be non-empty")
-        object.__setattr__(self, "messages", tuple(self.messages))
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        for i, msg in enumerate(self.messages):
-            if msg.role == "system" and i != 0:
-                raise ValueError("a system message may only appear first")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-
-    def to_payload(self) -> dict:
-        return {
-            "model": self.model_id,
-            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
-            "temperature": self.temperature,
-            "max_tokens": self.max_output_tokens,
-        }
 
 
 field_types = functools.cache(get_type_hints)  # evaluating annotations costs more than a check
@@ -282,17 +243,23 @@ def _send_with_retry(
 
 def complete_chat(
     config: GatewayConfig,
-    request: CompletionRequest,
+    model: str,
+    messages: Sequence[dict],
+    temperature: float,
+    max_tokens: int,
     transport: Transport,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ChatCompletion:
     """Send one chat request and return the first choice's text.
 
+    `messages` are the wire's {"role", "content"} objects, sent as given.
     Retries transient failures per `config`; the returned content is the
     assistant message verbatim, with token usage when the endpoint
     reports it.
     """
-    response = _send_with_retry(config, transport, CHAT_PATH, request.to_payload(), sleep)
+    payload = {"model": model, "messages": list(messages),
+               "temperature": temperature, "max_tokens": max_tokens}
+    response = _send_with_retry(config, transport, CHAT_PATH, payload, sleep)
     body = response.body
     try:
         content = body["choices"][0]["message"]["content"]

@@ -8,6 +8,9 @@ of four outcomes, so accepted + discarded_readability +
 rejected_duplicate + generation_error always equals the number of
 sections consumed.
 
+Model calls go through two seams that the caller supplies: ChatFn takes
+the wire's {"role", "content"} messages (one user turn per synthesis call)
+and a temperature and returns the reply text, and EmbedFn embeds texts.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions and file appends, so a fixed seed is bit-identical.
@@ -29,7 +32,7 @@ import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -37,7 +40,7 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 
 from . import prompts
 from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
-from .gateway import ChatMessage, ProtocolError, check_fields
+from .gateway import ProtocolError, check_fields
 from .textmetrics import UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -50,7 +53,7 @@ MANIFEST_FILENAME = "manifest.json"
 INDEX_FILENAME = "index.tsv"
 
 # Signature of the chat seam: (messages, temperature) -> assistant text.
-ChatFn = Callable[[Sequence[ChatMessage], float], str]
+ChatFn = Callable[[Sequence[dict], float], str]
 # (texts) -> one embedding per text, order preserved.
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
@@ -89,10 +92,13 @@ class QaSample:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "QaSample":
-        return cls(**{k: record[k] for k in (
-            "sample_id", "question", "answer_original", "answer_simplified",
-            "flesch_score", "attempts_used", "section_id",
-        )})
+        if not isinstance(record, Mapping):
+            raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in record]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        return cls(**{name: record[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,9 @@ class PipelineConfig:
     def __post_init__(self):
         check_fields(self, positive=(
             "max_attempts", "validation_size", "concurrency_limit", "max_output_tokens"))
+        for name in ("generation_model", "embedding_model"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if not self.generation_temperature >= 0:  # also rejects nan
             raise ValueError(
                 f"generation_temperature must be >= 0, got {self.generation_temperature}")
@@ -155,41 +164,55 @@ class IngestResult:
     excluded_short: int = 0
 
 
-def read_corpus_file(path) -> list[dict]:
-    """Line-delimited JSON records; raises on an unparseable line."""
-    records = []
+def _numbered_records(path) -> Iterator[tuple[int, object]]:
+    """(line number, record) per non-blank line of a JSON-lines file;
+    raises ValueError naming path:line on an unparseable line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                yield line_no, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON record") from exc
-    return records
+
+
+def read_corpus_file(path) -> list[dict]:
+    """Line-delimited JSON records; raises on an unparseable line."""
+    return [record for _, record in _numbered_records(path)]
 
 
 def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestResult:
     """Filter raw records down to usable sections, in a seeded shuffle order.
 
     Records without a usable text field are skipped with a warning, short
-    sections are dropped silently per the length floor.
+    sections are dropped silently per the length floor. Two kept sections
+    with one id would share a sample id, so they raise ValueError. Warnings
+    and errors number records from 1, in input order.
     """
     materialized = list(records)
-    random.Random(config.random_seed).shuffle(materialized)
+    order = list(range(len(materialized)))
+    random.Random(config.random_seed).shuffle(order)  # the permutation depends on length only
     result = IngestResult(sections=[])
-    for position, record in enumerate(materialized):
+    record_of_id: dict[str, int] = {}
+    for position, number in enumerate(order):
+        record = materialized[number]
         text = record.get("text") if isinstance(record, Mapping) else None
         if not isinstance(text, str) or not text:
             result.skipped_missing_text += 1
-            logger.warning("corpus record %d has no usable text field; skipped", position)
+            logger.warning("corpus record %d has no usable text field; skipped", number + 1)
             continue
         if len(text) < config.min_section_chars:
             result.excluded_short += 1
             continue
-        section_id = record.get("id") or record.get("section_id") or f"sec{position:06d}"
-        result.sections.append(CorpusSection(section_id=str(section_id), text=text))
+        section_id = str(record.get("id") or record.get("section_id") or f"sec{position:06d}")
+        if section_id in record_of_id:
+            first, second = sorted((record_of_id[section_id], number))
+            raise ValueError(f"corpus records {first + 1} and {second + 1} share the "
+                             f"section id {section_id!r}; ids must be unique")
+        record_of_id[section_id] = number
+        result.sections.append(CorpusSection(section_id=section_id, text=text))
     return result
 
 
@@ -220,7 +243,7 @@ def generate_qa(
     retry is allowed before the section is written off.
     """
     prompt = template.format(section_text=section.text)
-    messages = [ChatMessage("user", prompt)]
+    messages = [{"role": "user", "content": prompt}]
     raw = ""
     for _ in range(2):
         raw = chat(messages, config.generation_temperature)
@@ -250,7 +273,7 @@ def simplify_until_pass(
     scores: list[float] = []
     for _ in range(config.max_attempts):
         prompt = template.format(question=question, answer=current)
-        candidate = chat([ChatMessage("user", prompt)], config.generation_temperature)
+        candidate = chat([{"role": "user", "content": prompt}], config.generation_temperature)
         score = flesch_reading_ease(candidate).flesch_score
         scores.append(score)
         if score >= config.accept_threshold:
@@ -343,7 +366,15 @@ class PipelineResult:
 
 
 def load_samples(path) -> list[QaSample]:
-    return [QaSample.from_record(record) for record in read_corpus_file(path)]
+    """The samples of a samples.jsonl file; raises ValueError naming
+    path:line on a line that is not a valid sample record."""
+    samples = []
+    for line_no, record in _numbered_records(path):
+        try:
+            samples.append(QaSample.from_record(record))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{line_no}: not a sample record: {exc}") from exc
+    return samples
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
@@ -406,13 +437,12 @@ def run_pipeline(
     finish the run. manifest.json is deleted at the start and written
     only when the run finishes.
     """
+    ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not resume:
         for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME):
             (out_dir / name).unlink(missing_ok=True)
-
-    ingest = ingest_corpus(records, config)
     samples, consumed, counts, index = _load_resume_state(out_dir, config)
     (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
     sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from convoforge.gateway import CompletionRequest, GatewayConfig, complete_chat, embed_texts
+from convoforge.gateway import GatewayConfig, complete_chat, embed_texts
 from convoforge.simulate import SimulatedModelTransport
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -62,13 +62,9 @@ class SimFns:
         )
 
     def chat(self, messages, temperature):
-        request = CompletionRequest(
-            model_id="sim-chat",
-            messages=tuple(messages),
-            temperature=temperature,
-            max_output_tokens=1024,
-        )
-        return complete_chat(self.gateway, request, self.transport).content
+        return complete_chat(
+            self.gateway, "sim-chat", messages, temperature, 1024, self.transport
+        ).content
 
     def embed(self, texts):
         return embed_texts(self.gateway, "sim-embed", texts, self.transport)

@@ -189,7 +189,7 @@ def freeze_golden_manifest() -> None:
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
-    from convoforge.gateway import CompletionRequest, GatewayConfig, complete_chat, embed_texts
+    from convoforge.gateway import GatewayConfig, complete_chat, embed_texts
     from convoforge.pipeline import PipelineConfig, read_corpus_file, run_pipeline
     from convoforge.simulate import SimulatedModelTransport
 
@@ -198,13 +198,8 @@ def freeze_golden_manifest() -> None:
     config = PipelineConfig()
 
     def chat(messages, temperature):
-        request = CompletionRequest(
-            model_id=config.generation_model,
-            messages=tuple(messages),
-            temperature=temperature,
-            max_output_tokens=config.max_output_tokens,
-        )
-        return complete_chat(gateway, request, transport).content
+        return complete_chat(gateway, config.generation_model, messages, temperature,
+                             config.max_output_tokens, transport).content
 
     def embed(texts):
         return embed_texts(gateway, config.embedding_model, texts, transport)

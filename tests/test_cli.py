@@ -154,6 +154,12 @@ REJECTED_SETTINGS = [
     pytest.param({"prompts": {"qa_generation": 'Reply as {"question": ...}: {section_text}'}},
                  "prompts section: qa_generation may use only the placeholders ['section_text']",
                  id="prompts.qa_generation-brace"),
+    pytest.param({"pipeline": {"generation_model": ""}},
+                 "pipeline section: generation_model must be non-empty", id="generation_model=''"),
+    pytest.param({"pipeline": {"embedding_model": ""}},
+                 "pipeline section: embedding_model must be non-empty", id="embedding_model=''"),
+    pytest.param({"eval": {"models": [{"label": "a", "model": "", "system_prompt": "s"}]}},
+                 "eval model #0: model must be non-empty", id="eval.models.model=''"),
 ]
 ARTIFACTS = ("samples.jsonl", "traces.jsonl", "index.tsv", "manifest.json")
 
@@ -233,6 +239,20 @@ class TestSynthErrors:
                                "--out", str(run_dir))
         assert code == 2
         assert named in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_duplicate_corpus_id_leaves_a_finished_run_untouched(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        lines = (DATA_DIR / "corpus_50.jsonl").read_text("utf-8").splitlines(keepends=True)
+        corpus = synthesized_run / "corpus_51.jsonl"
+        corpus.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        config = write_dryrun_config(synthesized_run)
+        config.write_text(config.read_text("utf-8").replace(
+            str(DATA_DIR / "corpus_50.jsonl"), str(corpus)), encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 3
+        assert "corpus records 1 and 51 share the section id 'sec-ok-001'" in err
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
     def test_negative_limit_leaves_a_finished_run_untouched(self, capsys, synthesized_run):
@@ -453,6 +473,43 @@ class TestResume:
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+
+# Each case: a samples.jsonl line that is not a sample record, and the
+# reason its error must give after path:line.
+MALFORMED_SAMPLES = [
+    pytest.param(lambda record: {k: v for k, v in record.items() if k != "question"},
+                 "missing key 'question'", id="missing-key"),
+    pytest.param(lambda record: [record["question"]], "expected a JSON object, got list",
+                 id="not-an-object"),
+]
+
+
+@pytest.mark.parametrize("damage, reason", MALFORMED_SAMPLES)
+@pytest.mark.parametrize("command", ["export", "eval", "resume"])
+def test_malformed_samples_line_exits_3_naming_path_and_line(
+    capsys, synthesized_run, damage, reason, command
+):
+    run_dir = synthesized_run / "run"
+    samples = run_dir / "samples.jsonl"
+    lines = samples.read_text("utf-8").splitlines(keepends=True)
+    lines[6] = json.dumps(damage(json.loads(lines[6]))) + "\n"
+    samples.write_text("".join(lines), encoding="utf-8")
+    before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+    config = str(write_dryrun_config(synthesized_run))
+    if command == "export":
+        argv = ["export", "--config", config, "--size", "100"]
+    elif command == "eval":
+        eval_config = synthesized_run / "eval.yaml"
+        eval_config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        argv = ["eval", "--config", str(eval_config)]
+    else:
+        argv = ["synth", "--config", config, "--dry-run", "--resume"]
+    code, _, err = run_cli(capsys, *argv,
+                           transport_factory=lambda profile, gw: SimulatedModelTransport())
+    assert code == 3
+    assert f"{samples}:7: not a sample record: {reason}" in err
+    assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
 class TestEval:

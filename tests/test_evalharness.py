@@ -153,7 +153,7 @@ class TestConcurrentResponses:
         head_waits: list[bool] = []
 
         def chat(messages, temperature):
-            question = messages[-1].content
+            question = messages[-1]["content"]
             with lock:
                 started.add(question)
                 if len(started) >= limit + 2:
@@ -173,7 +173,7 @@ class TestConcurrentResponses:
         by_question = {s.question: s.sample_id for s in samples}
 
         def chat(messages, temperature):
-            question = messages[-1].content
+            question = messages[-1]["content"]
             if by_question[question] in failing:
                 raise NetworkError(f"injected failure for {question}")
             time.sleep(0.001 * (len(question) % 3))  # calls finish out of order
@@ -206,7 +206,7 @@ class TestConcurrentResponses:
         failed = threading.Event()
 
         def chat(messages, temperature):
-            position = positions[messages[-1].content]
+            position = positions[messages[-1]["content"]]
             with lock:
                 started.add(position)
                 in_flight[0] += 1

@@ -12,8 +12,6 @@ from convoforge.gateway import (
     CHAT_PATH,
     EMBEDDINGS_PATH,
     AuthenticationError,
-    ChatMessage,
-    CompletionRequest,
     GatewayConfig,
     HttpTransport,
     MissingApiKeyError,
@@ -43,19 +41,15 @@ def chat_body(content="pong", prompt_tokens=3, completion_tokens=5):
     }
 
 
-def request_for(text="ping"):
-    return CompletionRequest(
-        model_id="test-model",
-        messages=(ChatMessage("user", text),),
-        temperature=0.7,
-        max_output_tokens=64,
-    )
+def chat_once(config, transport, **kwargs):
+    messages = [{"role": "user", "content": "ping"}]
+    return complete_chat(config, "test-model", messages, 0.7, 64, transport, **kwargs)
 
 
 class TestCompleteChat:
     def test_happy_path_returns_first_choice(self):
         transport = TranscriptTransport([{"status": 200, "body": chat_body("ping")}])
-        completion = complete_chat(CONFIG, request_for(), transport)
+        completion = chat_once(CONFIG, transport)
         assert completion.content == "ping"
         assert completion.prompt_tokens == 3
         assert completion.completion_tokens == 5
@@ -73,7 +67,7 @@ class TestCompleteChat:
             {"status": 200, "body": chat_body("finally")},
         ])
         sleeps = []
-        completion = complete_chat(CONFIG, request_for(), transport, sleep=sleeps.append)
+        completion = chat_once(CONFIG, transport, sleep=sleeps.append)
         assert completion.content == "finally"
         assert len(transport.requests) == 3
         assert len(sleeps) == 2
@@ -88,30 +82,52 @@ class TestCompleteChat:
             {"status": 503, "body": "still down"},
         ])
         with pytest.raises(NetworkError, match="503"):
-            complete_chat(config, request_for(), transport, sleep=NO_SLEEP)
+            chat_once(config, transport, sleep=NO_SLEEP)
         assert len(transport.requests) == 2  # initial try + one retry, then give up
 
     def test_auth_failure_is_not_retried(self):
         transport = TranscriptTransport([{"status": 401, "body": "bad key"}])
         with pytest.raises(AuthenticationError):
-            complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
+            chat_once(CONFIG, transport, sleep=NO_SLEEP)
         assert len(transport.requests) == 1
 
     def test_client_error_raises_protocol_error(self):
         transport = TranscriptTransport([{"status": 404, "body": "no such route"}])
         with pytest.raises(ProtocolError, match="404"):
-            complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
+            chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
     def test_malformed_body_raises_with_excerpt(self):
         transport = TranscriptTransport([{"status": 200, "body": {"unexpected": True}}])
         with pytest.raises(ProtocolError, match="malformed completion body"):
-            complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
+            chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
     def test_non_text_content_rejected(self):
         body = {"choices": [{"message": {"role": "assistant", "content": None}}]}
         transport = TranscriptTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError):
-            complete_chat(CONFIG, request_for(), transport, sleep=NO_SLEEP)
+            chat_once(CONFIG, transport, sleep=NO_SLEEP)
+
+    @given(
+        st.lists(
+            st.fixed_dictionaries({
+                "role": st.sampled_from(["system", "user", "assistant"]),
+                "content": st.text(max_size=80),
+            }),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(min_value=0, max_value=2, allow_nan=False),
+    )
+    def test_payload_carries_every_field(self, messages, temperature):
+        transport = TranscriptTransport([{"status": 200, "body": chat_body()}])
+        complete_chat(CONFIG, "m", messages, temperature, 32, transport)
+        [(path, payload)] = transport.requests
+        assert path == CHAT_PATH
+        # Key order fixes the bytes a JSON encoder sends.
+        assert list(payload.items()) == [
+            ("model", "m"), ("messages", messages), ("temperature", temperature),
+            ("max_tokens", 32),
+        ]
 
 
 class TestOutOfRangeNumbers:
@@ -119,7 +135,7 @@ class TestOutOfRangeNumbers:
     # either must fail the one call, not escape as OverflowError.
     @pytest.mark.parametrize("call, raw_body", [
         (
-            lambda t: complete_chat(CONFIG, request_for(), t, sleep=NO_SLEEP),
+            lambda t: chat_once(CONFIG, t, sleep=NO_SLEEP),
             '{"choices": [{"message": {"role": "assistant", "content": "hi"}}],'
             ' "usage": {"prompt_tokens": 1e400}}',
         ),
@@ -132,64 +148,6 @@ class TestOutOfRangeNumbers:
         transport = TranscriptTransport([{"status": 200, "body": json.loads(raw_body)}])
         with pytest.raises(ProtocolError, match="malformed"):
             call(transport)
-
-
-class TestRequestValidation:
-    def test_empty_messages_fail_before_any_network_io(self):
-        with pytest.raises(ValueError, match="messages"):
-            CompletionRequest(model_id="m", messages=())
-
-    def test_empty_user_content_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            ChatMessage("user", "")
-
-    def test_assistant_content_may_be_empty(self):
-        # prefill turns legitimately start empty
-        assert ChatMessage("assistant", "").content == ""
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError, match="role"):
-            ChatMessage("tool", "output")
-
-    def test_system_message_only_first(self):
-        with pytest.raises(ValueError, match="system"):
-            CompletionRequest(
-                model_id="m",
-                messages=(
-                    ChatMessage("user", "hi"),
-                    ChatMessage("system", "late instructions"),
-                ),
-            )
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            CompletionRequest(
-                model_id="m", messages=(ChatMessage("user", "hi"),), temperature=-0.1
-            )
-
-    @given(
-        st.lists(
-            st.builds(
-                ChatMessage,
-                role=st.sampled_from(["user", "assistant"]),
-                content=st.text(min_size=1, max_size=80),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.floats(min_value=0, max_value=2, allow_nan=False),
-    )
-    def test_payload_carries_every_field(self, messages, temperature):
-        request = CompletionRequest(
-            model_id="m", messages=tuple(messages),
-            temperature=temperature, max_output_tokens=32,
-        )
-        assert request.to_payload() == {
-            "model": "m",
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
-            "temperature": temperature,
-            "max_tokens": 32,
-        }
 
 
 class TestEmbeddings:
@@ -321,7 +279,7 @@ class TestBackoff:
             [{"status": 429, "body": "later"}] * 3 + [{"status": 200, "body": chat_body()}]
         )
         sleeps = []
-        complete_chat(config, request_for(), transport, sleep=sleeps.append)
+        chat_once(config, transport, sleep=sleeps.append)
         assert len(sleeps) == 3
         assert sleeps == sorted(sleeps)  # jitter never reorders the series
         assert all(s > 0 for s in sleeps)
@@ -340,6 +298,6 @@ class TestBackoff:
 class TestTranscript:
     def test_exhausted_transcript_is_a_protocol_error(self):
         transport = TranscriptTransport([{"status": 200, "body": chat_body()}])
-        complete_chat(CONFIG, request_for(), transport)
+        chat_once(CONFIG, transport)
         with pytest.raises(ProtocolError, match="exhausted"):
-            complete_chat(CONFIG, request_for(), transport)
+            chat_once(CONFIG, transport)

@@ -54,7 +54,7 @@ class ScriptedChat:
         self.prompts: list[str] = []
 
     def __call__(self, messages, temperature):
-        self.prompts.append(messages[-1].content)
+        self.prompts.append(messages[-1]["content"])
         if not self.responses:
             raise AssertionError("chat called more times than scripted")
         return self.responses.pop(0)
@@ -66,7 +66,7 @@ def section_for(text="A plain test section.", section_id="sec-t-1") -> CorpusSec
 
 def section_started(messages):
     """The section id when this is a QA prompt, else None."""
-    match = QA_SECTION_RE.search(messages[-1].content)
+    match = QA_SECTION_RE.search(messages[-1]["content"])
     return match.group(1) if match else None
 
 
@@ -114,7 +114,9 @@ class TestIngest:
             result = ingest_corpus(records, PipelineConfig(min_section_chars=0))
         assert result.sections == []
         assert result.skipped_missing_text == 3
-        assert any("no usable text" in r.message for r in caplog.records)
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            f"corpus record {n} has no usable text field; skipped" for n in (1, 2, 3)
+        ]
 
     def test_shuffle_is_seed_deterministic(self):
         records = [{"id": f"s{i}", "text": f"body {i} " * 100} for i in range(30)]
@@ -131,6 +133,20 @@ class TestIngest:
         records = [{"text": "x" * 700}]
         result = ingest_corpus(records, PipelineConfig())
         assert result.sections[0].section_id == "sec000000"
+
+    def test_duplicate_id_names_both_records(self):
+        records = [{"id": "a", "text": "x" * 700}, {"id": "b", "text": "y" * 700},
+                   {"id": "a", "text": "z" * 700}]
+        with pytest.raises(ValueError, match="corpus records 1 and 3 share the section id 'a'"):
+            ingest_corpus(records, PipelineConfig())
+
+    def test_fallback_id_that_matches_a_real_one_is_a_duplicate(self):
+        records = [{"text": "x" * 700}, {"id": "b", "text": "y" * 700}]
+        [fallback] = [s.section_id for s in ingest_corpus(records, PipelineConfig()).sections
+                      if s.section_id != "b"]
+        records[1]["id"] = fallback  # the shuffle depends on the record count only
+        with pytest.raises(ValueError, match=f"records 1 and 2 share the section id '{fallback}'"):
+            ingest_corpus(records, PipelineConfig())
 
     def test_read_corpus_file_reports_bad_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
