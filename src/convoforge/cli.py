@@ -176,7 +176,7 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         chat_gateway, chat_transport = _connect(cfg, cfg.run.generation_profile, transport_factory)
         embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
 
-    result = run_pipeline(
+    manifest = run_pipeline(
         cfg.pipeline,
         records,
         chat=_chat_fn(chat_gateway, cfg.pipeline.generation_model,
@@ -188,10 +188,10 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         qa_template=cfg.prompts.qa_generation,
         simplify_template=cfg.prompts.simplify,
     )
-    for outcome, count in sorted(result.manifest["counts"].items()):
+    for outcome, count in sorted(manifest["counts"].items()):
         print(f"{outcome}: {count}")
-    print(f"samples: {result.manifest['sample_count']}")
-    if result.manifest["shortfall"]:
+    print(f"samples: {manifest['sample_count']}")
+    if manifest["shortfall"]:
         print("warning: corpus exhausted before the sample target; dataset is partial")
     print(f"artifacts: {out_dir}")
     return EXIT_OK

@@ -21,11 +21,7 @@ import yaml
 from . import prompts
 from .gateway import GatewayConfig, check_fields, field_types, type_name
 from .pipeline import PipelineConfig
-from .textmetrics import CONVERSATIONAL_THRESHOLD
-
-# Ceiling of the score formula: a text of single-syllable one-word
-# sentences scores 206.835 - 1.015 - 84.6 = 121.22.
-MAX_FLESCH_SCORE = 121.22
+from .textmetrics import CONVERSATIONAL_THRESHOLD, MAX_FLESCH_SCORE
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 

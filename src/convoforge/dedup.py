@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class EmbeddingVector:
         return self._array
 
     @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._array.tolist())
-
-    @property
     def dimension(self) -> int:
         return self._array.size
 
@@ -71,15 +67,8 @@ class EmbeddingVector:
             return NotImplemented
         return bool(np.array_equal(self._array, other._array))
 
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
         return f"EmbeddingVector({self._array.tolist()!r})"
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "EmbeddingVector":
-        return cls(list(values))
 
 
 def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.ndarray:

@@ -89,22 +89,22 @@ class EvalReport:
 
 def generate_responses(
     system_prompt: str, samples: Sequence[QaSample], chat: ChatFn, limit: int = 1
-) -> list[tuple[str, Optional[str]]]:
-    """One response per sample, in order, with at most `limit` calls in
-    flight; None marks a failed call."""
+) -> list[Optional[str]]:
+    """One response per sample, in sample order, with at most `limit`
+    calls in flight; None marks a failed call."""
     if not system_prompt:
         raise ValueError("system_prompt must be non-empty")
     system = {"role": "system", "content": system_prompt}
     if not samples:
         raise ValueError("validation samples must be non-empty")
 
-    def respond(sample: QaSample) -> tuple[str, Optional[str]]:
+    def respond(sample: QaSample) -> Optional[str]:
         messages = [system, {"role": "user", "content": sample.question}]
         try:
-            return sample.sample_id, chat(messages, EVAL_TEMPERATURE)
+            return chat(messages, EVAL_TEMPERATURE)
         except (NetworkError, ProtocolError) as exc:
             logger.warning("response for %s failed: %s", sample.sample_id, exc)
-            return sample.sample_id, None
+            return None
 
     return list(ordered_map(respond, samples, limit))
 
@@ -141,23 +141,21 @@ def semantic_similarity_report(
 def build_report(
     model_label: str,
     samples: Sequence[QaSample],
-    responses: Sequence[tuple[str, Optional[str]]],
+    responses: Sequence[Optional[str]],
     threshold: float = CONVERSATIONAL_THRESHOLD,
     embed: Optional[EmbedFn] = None,
     training_set_size: Optional[int] = None,
 ) -> EvalReport:
-    """Score responses and assemble the per-model report.
+    """Score responses[i] against samples[i] and assemble the per-model report.
 
     Missing responses and unscorable text are excluded with a count;
     when an embed function is given, embedding failures are excluded
     too, so n_samples + missing_count + embedding_failure_count always
     reproduces the validation-set size.
     """
-    expected = {s.sample_id: s for s in samples}
     records: list[EvalRecord] = []
     missing = 0
-    for sample_id, generated in responses:
-        sample = expected[sample_id]
+    for sample, generated in zip(samples, responses, strict=True):
         if generated is None:
             missing += 1
             continue
@@ -165,11 +163,11 @@ def build_report(
             stats = flesch_reading_ease(generated)
         except UnscorableTextError as exc:
             missing += 1
-            logger.warning("response for %s is unscorable: %s", sample_id, exc)
+            logger.warning("response for %s is unscorable: %s", sample.sample_id, exc)
             continue
         records.append(
             EvalRecord(
-                sample_id=sample_id,
+                sample_id=sample.sample_id,
                 question=sample.question,
                 expected_answer=sample.answer_simplified,
                 generated_answer=generated,

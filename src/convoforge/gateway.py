@@ -4,7 +4,8 @@ One wire protocol covers every backend we talk to: POST
 {base_url}/chat/completions and POST {base_url}/embeddings with a
 bearer token pulled from the environment. Transient failures (429 and
 5xx) are retried with exponential backoff and jitter; auth failures are
-not. A transcript-driven transport stands in for the network in tests.
+not. Any object with Transport's post method can stand in for the
+network: the dry run's simulator, or a scripted double in tests.
 
 A chat call's messages are the wire's {"role", "content"} objects, passed
 through unchanged: callers write the roles as literals (a user turn in
@@ -19,7 +20,6 @@ import functools
 import json
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import (
@@ -164,34 +164,6 @@ class HttpTransport:
         return TransportResponse(status=resp.status_code, body=body)
 
 
-class TranscriptTransport:
-    """Replays an ordered list of {status, body, delay} steps.
-
-    The canned-response format used by every offline test: each post()
-    consumes the next step in order, optionally sleeping `delay`
-    seconds to simulate latency. Issued requests are recorded for
-    assertions. Under concurrency (synth, or eval at concurrency_limit
-    above 1) steps are served in arrival order, not matched to requests;
-    a test that needs per-request replies uses a content-keyed fake.
-    """
-
-    def __init__(self, steps: Sequence[dict]):
-        self._steps = list(steps)
-        self._lock = threading.Lock()
-        self.requests: list[tuple[str, dict]] = []
-
-    def post(self, path: str, payload: dict) -> TransportResponse:
-        with self._lock:
-            self.requests.append((path, payload))
-            if len(self.requests) > len(self._steps):
-                raise ProtocolError("transcript exhausted: no response scripted for this request")
-            step = self._steps[len(self.requests) - 1]
-        delay = step.get("delay", 0)
-        if delay:
-            time.sleep(delay)
-        return TransportResponse(status=step["status"], body=step["body"])
-
-
 def _excerpt(body: object, limit: int = 200) -> str:
     text = body if isinstance(body, str) else json.dumps(body, ensure_ascii=False)
     return text[:limit]
@@ -200,12 +172,6 @@ def _excerpt(body: object, limit: int = 200) -> str:
 def backoff_delay(config: GatewayConfig, retry_number: int, rng: Callable[[], float]) -> float:
     """Delay before retry `retry_number` (1-based), jittered upward."""
     return config.backoff_base * (2 ** (retry_number - 1)) * (1 + _JITTER_FRACTION * rng())
-
-
-def max_total_backoff(config: GatewayConfig) -> float:
-    """Upper bound on the summed sleep across a full retry series."""
-    series = sum(2 ** (n - 1) for n in range(1, config.max_retries + 1))
-    return config.backoff_base * series * (1 + _JITTER_FRACTION)
 
 
 def _send_with_retry(

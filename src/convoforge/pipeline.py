@@ -17,10 +17,10 @@ stage of dedup decisions and file appends, so a fixed seed is bit-identical.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
-key or any other error ends the run. Sections before the failing one
-stay committed, the failing one and all later ones leave no trace, and
-the index is saved on the way out, so --resume finishes the run with the
-samples, index and manifest an uninterrupted run writes.
+key or any other error ends the run, and no later section starts. Sections
+before the failing one stay committed, it and all later ones leave no
+trace, and the index is saved on the way out, so --resume finishes the
+run with the samples, index and manifest an uninterrupted run writes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 from . import prompts
 from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
 from .gateway import ProtocolError, check_fields
-from .textmetrics import UnscorableTextError, flesch_reading_ease
+from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,8 @@ class PipelineConfig:
     generation_model: Annotated[str, "chat model id for QA generation"] = "default-chat"
     embedding_model: Annotated[str, "embedding model id for dedup"] = "default-embed"
     min_section_chars: Annotated[int, "shorter corpus sections are dropped"] = 700
-    accept_threshold: Annotated[float, "readability gate, inclusive"] = 75.0
+    accept_threshold: Annotated[
+        float, f"readability gate in (0, {MAX_FLESCH_SCORE}], inclusive"] = 75.0
     max_attempts: Annotated[int, "simplify attempts per answer"] = 3
     dedup_threshold: Annotated[float, "cosine in (0, 1]; strictly above rejects"] = DEDUP_THRESHOLD
     target_samples: Annotated[int, "accepted samples to stop at"] = 10000
@@ -137,6 +138,9 @@ class PipelineConfig:
                                  f"the training pool (target_samples - validation_size)")
         if self.min_section_chars < 0:
             raise ValueError("min_section_chars must be >= 0")
+        if not 0 < self.accept_threshold <= MAX_FLESCH_SCORE:  # also rejects nan
+            raise ValueError(f"accept_threshold must be in (0, {MAX_FLESCH_SCORE}], "
+                             f"got {self.accept_threshold}")
         if not 0 < self.dedup_threshold <= 1:
             raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
 
@@ -343,26 +347,33 @@ def ordered_map(fn: Callable, items: Iterable, limit: int,
     At most `limit` calls run at once. Up to max(limit, min(_AHEAD * limit,
     wanted())) items are submitted ahead, so a slow head does not idle the
     other workers and a stop drops at most limit - 1 started items; with
-    wanted None, every item is wanted. On close or an exception, queued
-    calls are cancelled and running ones joined.
+    wanted None, every item is wanted. Once a call raises, no item after it
+    starts, and its error is raised here in its turn. On close or an
+    exception, queued calls are cancelled and running ones joined.
     """
     pool = ThreadPoolExecutor(max_workers=limit)
-    items, pending = iter(items), deque()
+    items, pending = enumerate(items), deque()
+    failed: list[int] = []  # positions whose call raised; appends only
+
+    def call(position, item):
+        if failed and position > min(failed):
+            return None  # never yielded: the earlier failure is raised first
+        try:
+            return fn(item)
+        except BaseException:
+            failed.append(position)
+            raise
+
     try:
         while (want := _AHEAD * limit if wanted is None else wanted()) > 0:
             depth = max(limit, min(_AHEAD * limit, want))
-            pending.extend(pool.submit(fn, x) for x in islice(items, max(0, depth - len(pending))))
+            more = islice(items, max(0, depth - len(pending)))
+            pending.extend(pool.submit(call, *x) for x in more)
             if not pending:
                 return
             yield pending.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-@dataclass
-class PipelineResult:
-    manifest: dict
-    samples: list[QaSample]
 
 
 def load_samples(path) -> list[QaSample]:
@@ -378,38 +389,47 @@ def load_samples(path) -> list[QaSample]:
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
-    """The samples, consumed section ids, outcome counts and index on disk.
+    """The consumed section ids, outcome counts and index on disk.
 
+    Refuses (ValueError naming path:line) a line that is not a valid sample
+    or trace; a trace needs one of OUTCOMES and a section no other trace has.
     Refuses (ValueError) unless the index, samples.jsonl and the accepted
     traces list the same sample ids in the same order, as every exit that
     runs run_pipeline's finally leaves them; a SIGKILL can leave them apart.
     """
     samples_path = out_dir / SAMPLES_FILENAME
-    samples = load_samples(samples_path) if samples_path.exists() else []
+    sample_ids = [s.sample_id for s in load_samples(samples_path)] if samples_path.exists() else []
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
     accepted_ids = []
     traces_path = out_dir / TRACES_FILENAME
     if traces_path.exists():
-        for record in read_corpus_file(traces_path):
-            consumed.add(record["section_id"])
-            if record["outcome"] in counts:
-                counts[record["outcome"]] += 1
-            if record["outcome"] == "accepted":
-                accepted_ids.append(record["sample_id"])
+        for line_no, record in _numbered_records(traces_path):
+            try:
+                outcome, section_id = record["outcome"], record["section_id"]
+                if outcome not in counts:
+                    raise ValueError(f"unknown outcome {outcome!r}")
+                if section_id in consumed:
+                    raise ValueError(f"section id {section_id!r} repeats an earlier trace")
+                consumed.add(section_id)
+                if outcome == "accepted":
+                    accepted_ids.append(record["sample_id"])
+            except (TypeError, KeyError, ValueError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{traces_path}:{line_no}: not a trace record: {reason}") from exc
+            counts[outcome] += 1
     index_path = out_dir / INDEX_FILENAME
     if index_path.exists():
         index = load_index(index_path, threshold=config.dedup_threshold)
     else:
         index = QuestionIndex(threshold=config.dedup_threshold)
-    sample_ids = [sample.sample_id for sample in samples]
     if not index.ids == sample_ids == accepted_ids:
         raise ValueError(
             f"{out_dir}: cannot resume: {INDEX_FILENAME} holds {len(index)} ids, "
             f"{SAMPLES_FILENAME} {len(sample_ids)} and the accepted traces "
             f"{len(accepted_ids)}, and they must be the same ids in the same order"
         )
-    return samples, consumed, counts, index
+    return consumed, counts, index
 
 
 def run_pipeline(
@@ -422,8 +442,8 @@ def run_pipeline(
     limit: Optional[int] = None,
     qa_template: str = prompts.QA_GENERATION_TEMPLATE,
     simplify_template: str = prompts.SIMPLIFY_TEMPLATE,
-) -> PipelineResult:
-    """Drive the full synthesis loop and persist its artifacts.
+) -> dict:
+    """Drive the full synthesis loop, persist its artifacts, return the manifest.
 
     Writes samples.jsonl, traces.jsonl, manifest.json, and the dedup
     index snapshot under out_dir. Corpus exhaustion before
@@ -443,10 +463,9 @@ def run_pipeline(
     if not resume:
         for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME):
             (out_dir / name).unlink(missing_ok=True)
-    samples, consumed, counts, index = _load_resume_state(out_dir, config)
+    consumed, counts, index = _load_resume_state(out_dir, config)
     (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
     sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]
-    consumed_sections = len(consumed)
 
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
@@ -455,13 +474,12 @@ def run_pipeline(
         with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
                 open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
                 closing(ordered_map(work, sections, config.concurrency_limit,
-                                    lambda: config.target_samples - len(samples))) as results:
+                                    lambda: config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
                 if candidate is not None:
                     sample, embedding = candidate
                     decision = index.check_and_insert(sample.sample_id, embedding)
                     if decision.accepted:
-                        samples.append(sample)
                         samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
                         trace.outcome = "accepted"
                         trace.sample_id = sample.sample_id
@@ -470,24 +488,23 @@ def run_pipeline(
                         trace.nearest_id = decision.nearest_id
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
-                consumed_sections += 1
                 traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
     finally:
         save_index(index, out_dir / INDEX_FILENAME)
 
-    shortfall = len(samples) < config.target_samples
+    shortfall = counts["accepted"] < config.target_samples
     if shortfall:
         logger.warning(
             "corpus exhausted at %d of %d target samples; dataset is partial",
-            len(samples), config.target_samples,
+            counts["accepted"], config.target_samples,
         )
     manifest = {
         "config": _config_echo(config),
         "counts": dict(counts),
-        "consumed_sections": consumed_sections,
+        "consumed_sections": sum(counts.values()),
         "skipped_missing_text": ingest.skipped_missing_text,
         "excluded_short": ingest.excluded_short,
-        "sample_count": len(samples),
+        "sample_count": counts["accepted"],
         "shortfall": shortfall,
     }
     manifest_tmp = out_dir / (MANIFEST_FILENAME + ".tmp")
@@ -495,7 +512,7 @@ def run_pipeline(
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(manifest_tmp, out_dir / MANIFEST_FILENAME)
-    return PipelineResult(manifest=manifest, samples=samples)
+    return manifest
 
 
 def _config_echo(config: PipelineConfig) -> dict:

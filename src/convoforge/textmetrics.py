@@ -6,10 +6,13 @@ reading-ease score computed from those counts. Scores are returned raw
 (unclamped, unrounded) because downstream threshold comparisons depend on
 exact boundary behavior.
 
-Syllable counts are memoised per lowercased token in a bounded LRU cache:
-real text repeats a small vocabulary, and each uncached count runs a
-dozen-odd regexes. The counting function is pure, so the cache changes no
-count and every function here stays pure and deterministic.
+Syllables are counted per hyphen-separated part of each lowercased word,
+over its letters a-z only; a word with none, such as "3.5" or a word in
+another script, counts as one syllable. Counts are memoised per
+lowercased token in a bounded LRU cache: real text repeats a small
+vocabulary, and each uncached count runs a dozen-odd regexes. The
+counting function is pure, so the cache changes no count and every
+function here stays pure and deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ __all__ = [
     "UnscorableTextError",
     "segment_sentences",
     "tokenize_words",
-    "count_syllables",
     "flesch_reading_ease",
     "is_conversational",
     "CONVERSATIONAL_THRESHOLD",
+    "MAX_FLESCH_SCORE",
 ]
 
 
@@ -344,20 +347,6 @@ def _parts_syllables(word: str) -> int:
     return max(1, total)
 
 
-def count_syllables(word: str) -> int:
-    """Count syllables in one word; case-insensitive, always >= 1.
-
-    Raises ValueError when the token has no alphabetic characters
-    (numbers, bare punctuation), naming the offending token.
-    """
-    lowered = word.lower()
-    if not any(ch.isalpha() for ch in lowered):
-        raise ValueError(f"cannot count syllables of non-alphabetic token {word!r}")
-    if not any("a" <= ch <= "z" for ch in lowered):
-        return 1  # non-Latin script: degrade to one syllable, never crash
-    return _parts_syllables(lowered)
-
-
 # ---------------------------------------------------------------------------
 # Flesch reading ease
 # ---------------------------------------------------------------------------
@@ -389,6 +378,11 @@ def flesch_reading_ease(text: str) -> TextStats:
         flesch_score=score,
     )
 
+
+# Ceiling of the score formula: a text of single-syllable one-word
+# sentences scores 206.835 - 1.015 - 84.6 = 121.22. A gate above it
+# passes nothing.
+MAX_FLESCH_SCORE = 121.22
 
 # Default conversational cutoff for eval; a score exactly at it passes.
 CONVERSATIONAL_THRESHOLD = 60.0

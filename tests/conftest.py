@@ -1,10 +1,11 @@
 import json
 import re
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from convoforge.gateway import GatewayConfig, complete_chat, embed_texts
+from convoforge.gateway import GatewayConfig, TransportResponse, complete_chat, embed_texts
 from convoforge.simulate import SimulatedModelTransport
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -50,6 +51,25 @@ def corpus50_records(corpus50_path) -> list[dict]:
 def golden_manifest() -> dict:
     with open(DATA_DIR / "golden_manifest.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+class ScriptedTransport:
+    """Answers each post with the next {status, body} step, in arrival
+    order, and records the (path, payload) it was sent.
+
+    Concurrent callers get the steps in whatever order they arrive; a
+    test that needs per-request replies subclasses SimulatedModelTransport.
+    Posting past the last step raises IndexError.
+    """
+
+    def __init__(self, steps):
+        self.steps = deque(steps)
+        self.requests = []
+
+    def post(self, path, payload):
+        self.requests.append((path, payload))
+        step = self.steps.popleft()
+        return TransportResponse(status=step["status"], body=step["body"])
 
 
 class SimFns:

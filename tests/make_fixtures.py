@@ -206,19 +206,19 @@ def freeze_golden_manifest() -> None:
 
     records = read_corpus_file(DATA_DIR / "corpus_50.jsonl")
     with tempfile.TemporaryDirectory() as tmp:
-        result = run_pipeline(config, records, chat, embed, out_dir=tmp)
+        manifest = run_pipeline(config, records, chat, embed, out_dir=tmp)
 
-    if result.manifest["counts"] != EXPECTED_OUTCOME_COUNTS:
+    if manifest["counts"] != EXPECTED_OUTCOME_COUNTS:
         print(f"outcome counts diverge from the hand-derived expectation:", file=sys.stderr)
         print(f"  expected {EXPECTED_OUTCOME_COUNTS}", file=sys.stderr)
-        print(f"  got      {result.manifest['counts']}", file=sys.stderr)
+        print(f"  got      {manifest['counts']}", file=sys.stderr)
         raise SystemExit(1)
 
     out_path = DATA_DIR / "golden_manifest.json"
     with out_path.open("w", encoding="utf-8") as fh:
-        json.dump(result.manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out_path} (counts {result.manifest['counts']})")
+    print(f"wrote {out_path} (counts {manifest['counts']})")
 
 
 if __name__ == "__main__":

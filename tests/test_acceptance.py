@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, SimFns
+from conftest import DATA_DIR, ScriptedTransport, SimFns
 from convoforge.cli import _chat_fn
 from convoforge.dedup import EmbeddingVector, QuestionIndex
 from convoforge.evalharness import (
@@ -22,11 +22,12 @@ from convoforge.evalharness import (
     emit_report,
     generate_responses,
 )
-from convoforge.gateway import GatewayConfig, TranscriptTransport
+from convoforge.gateway import GatewayConfig
 from convoforge.pipeline import (
     PipelineConfig,
     QaSample,
     export_finetune_file,
+    load_samples,
     run_pipeline,
     simplify_until_pass,
     split_dataset,
@@ -101,11 +102,11 @@ def test_criterion_2_threshold_boundaries():
 
     # dedup: similarity strictly above the threshold rejects; 0.80 exactly stays
     index = QuestionIndex(threshold=0.8)
-    index.check_and_insert("anchor", EmbeddingVector.from_iterable([1.0, 0.0]))
-    exactly = index.check_and_insert("at", EmbeddingVector.from_iterable([4.0, 3.0]))
+    index.check_and_insert("anchor", EmbeddingVector([1.0, 0.0]))
+    exactly = index.check_and_insert("at", EmbeddingVector([4.0, 3.0]))
     assert exactly.accepted
     assert exactly.nearest_similarity == 0.8
-    above = index.check_and_insert("over", EmbeddingVector.from_iterable([4.000001, 3.0]))
+    above = index.check_and_insert("over", EmbeddingVector([4.000001, 3.0]))
     assert not above.accepted
     assert above.nearest_similarity > 0.8
 
@@ -123,13 +124,13 @@ def test_criterion_3_simulated_pipeline_run(corpus50_records, golden_manifest, t
     for i in range(3):
         fns = SimFns()
         out_dir = tmp_path / f"run{i}"
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, fns.chat, fns.embed, out_dir
         )
-        counts = result.manifest["counts"]
-        assert sum(counts.values()) == 50 == result.manifest["consumed_sections"]
+        counts = manifest["counts"]
+        assert sum(counts.values()) == 50 == manifest["consumed_sections"]
         assert counts == golden_manifest["counts"]
-        for sample in result.samples:
+        for sample in load_samples(out_dir / "samples.jsonl"):
             rescored = flesch_reading_ease(sample.answer_simplified).flesch_score
             assert rescored >= 75.0
             assert rescored == sample.flesch_score
@@ -173,7 +174,7 @@ def test_criterion_4_dedup_matches_brute_force():
             else:
                 ref_best = None
             decision = index.check_and_insert(
-                f"v{i}", EmbeddingVector.from_iterable(probe.tolist())
+                f"v{i}", EmbeddingVector(probe.tolist())
             )
             if ref_best is None:
                 assert decision.accepted
@@ -235,10 +236,8 @@ def test_criterion_6_published_percentage_replay(tmp_path):
     start = time.perf_counter()
     reports = []
     for label, passing, _ in cases:
-        responses = [
-            (s.sample_id, CONVERSATIONAL_TEXT if i < passing else STIFF_TEXT)
-            for i, s in enumerate(samples)
-        ]
+        responses = [CONVERSATIONAL_TEXT if i < passing else STIFF_TEXT
+                     for i in range(len(samples))]
         reports.append(build_report(label, samples, responses, threshold=60.0))
     paths = emit_report(reports, tmp_path)
     elapsed = time.perf_counter() - start
@@ -292,7 +291,7 @@ def test_criterion_8_gpu_outcomes_declared_not_reproduced():
         api_key_env="CHECKPOINT_KEY",
     )
     samples = make_samples(3)
-    transport = TranscriptTransport([
+    transport = ScriptedTransport([
         {"status": 200, "body": {"choices": [{"message": {
             "role": "assistant", "content": CONVERSATIONAL_TEXT}}]}}
         for _ in samples

@@ -9,9 +9,9 @@ import yaml
 
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
-from conftest import DATA_DIR, QA_SECTION_RE
+from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
 from convoforge.config import ConfigError, load_run_config
-from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TranscriptTransport, TransportResponse
+from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 from convoforge.pipeline import PipelineConfig, ingest_corpus, read_corpus_file
 from convoforge.simulate import SimulatedModelTransport
 
@@ -160,6 +160,10 @@ REJECTED_SETTINGS = [
                  "pipeline section: embedding_model must be non-empty", id="embedding_model=''"),
     pytest.param({"eval": {"models": [{"label": "a", "model": "", "system_prompt": "s"}]}},
                  "eval model #0: model must be non-empty", id="eval.models.model=''"),
+    *(pytest.param({"pipeline": {"accept_threshold": value}},
+                   "pipeline section: accept_threshold must be in (0, 121.22]",
+                   id=f"accept_threshold={value}")
+      for value in (float("nan"), 500, -5)),
 ]
 ARTIFACTS = ("samples.jsonl", "traces.jsonl", "index.tsv", "manifest.json")
 
@@ -427,6 +431,9 @@ class TestResume:
                                transport_factory=lambda profile, gw: outage)
         assert code == 4
         assert "HTTP 503" in err
+        # posts 60 and 61 are the failing call and its one retry; no later
+        # section starts once that call has raised
+        assert outage.posts == 61
         order = [s.section_id for s in ingest_corpus(
             read_corpus_file(DATA_DIR / "corpus_50.jsonl"), PipelineConfig()).sections]
         traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
@@ -509,6 +516,32 @@ def test_malformed_samples_line_exits_3_naming_path_and_line(
                            transport_factory=lambda profile, gw: SimulatedModelTransport())
     assert code == 3
     assert f"{samples}:7: not a sample record: {reason}" in err
+    assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+
+# Each case: the record that replaces line 4 of traces.jsonl, made from the
+# file's records, and the reason its error must give after path:line.
+MALFORMED_TRACES = [
+    pytest.param(lambda records: {"outcome": "accepted"}, "missing key 'section_id'",
+                 id="missing-key"),
+    pytest.param(lambda records: {**records[3], "outcome": "acepted"},
+                 "unknown outcome 'acepted'", id="unknown-outcome"),
+    pytest.param(lambda records: records[2], "repeats an earlier trace", id="repeated-section"),
+]
+
+
+@pytest.mark.parametrize("damage, reason", MALFORMED_TRACES)
+def test_malformed_traces_line_fails_resume_with_exit_3(capsys, synthesized_run, damage, reason):
+    run_dir = synthesized_run / "run"
+    traces = run_dir / "traces.jsonl"
+    records = read_corpus_file(traces)
+    records[3] = damage(records)
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+    config = write_dryrun_config(synthesized_run)
+    code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+    assert code == 3
+    assert f"{traces}:4: not a trace record: " in err and reason in err
     assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
@@ -641,7 +674,7 @@ class TestEval:
             }}]}}
             for i in range(1000)
         ]
-        transport = TranscriptTransport(steps)
+        transport = ScriptedTransport(steps)
         code, out, _ = run_cli(
             capsys, "eval", "--config", str(config),
             transport_factory=lambda profile, gw: transport,

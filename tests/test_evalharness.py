@@ -1,6 +1,7 @@
 """Evaluation harness: percentages, similarity, exclusion accounting, CSVs."""
 
 import csv
+import dataclasses
 import json
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ScriptedTransport
 from convoforge.cli import _chat_fn
 from convoforge.dedup import EmbeddingVector
 from convoforge.evalharness import (
@@ -20,7 +22,7 @@ from convoforge.evalharness import (
     generate_responses,
     pct_conversational,
 )
-from convoforge.gateway import GatewayConfig, NetworkError, TranscriptTransport
+from convoforge.gateway import GatewayConfig, NetworkError
 from convoforge.pipeline import _AHEAD, QaSample
 
 GATEWAY = GatewayConfig(
@@ -107,9 +109,9 @@ def chat_over(transport):
 class TestGenerateResponses:
     def test_responses_stay_in_sample_order(self):
         samples = make_samples(3)
-        transport = TranscriptTransport([chat_step(f"reply {i}") for i in range(3)])
+        transport = ScriptedTransport([chat_step(f"reply {i}") for i in range(3)])
         responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
-        assert responses == [("qa-0", "reply 0"), ("qa-1", "reply 1"), ("qa-2", "reply 2")]
+        assert responses == ["reply 0", "reply 1", "reply 2"]
         # every request carries the system prompt and eval decoding temperature
         for _, payload in transport.requests:
             assert payload["messages"][0] == {"role": "system", "content": "Answer briefly."}
@@ -117,22 +119,20 @@ class TestGenerateResponses:
 
     def test_failed_call_becomes_none_and_run_continues(self):
         samples = make_samples(3)
-        transport = TranscriptTransport([
+        transport = ScriptedTransport([
             chat_step("ok one"),
             {"status": 500, "body": "broken"},
             chat_step("ok three"),
         ])
         responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
-        assert responses[0] == ("qa-0", "ok one")
-        assert responses[1] == ("qa-1", None)
-        assert responses[2] == ("qa-2", "ok three")
+        assert responses == ["ok one", None, "ok three"]
 
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            generate_responses(SYSTEM_PROMPT, [], chat_over(TranscriptTransport([])))
+            generate_responses(SYSTEM_PROMPT, [], chat_over(ScriptedTransport([])))
 
     def test_empty_system_prompt_rejected_before_any_call(self):
-        transport = TranscriptTransport([chat_step("unused")])
+        transport = ScriptedTransport([chat_step("unused")])
         with pytest.raises(ValueError, match="system"):
             generate_responses("", make_samples(1), chat_over(transport))
         assert transport.requests == []
@@ -165,7 +165,7 @@ class TestConcurrentResponses:
 
         responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=limit)
         assert head_waits == [True]
-        assert responses == [(s.sample_id, reply_to(s.question)) for s in samples]
+        assert responses == [reply_to(s.question) for s in samples]
 
     def test_failures_are_keyed_by_content(self):
         samples = make_samples(40)
@@ -185,8 +185,7 @@ class TestConcurrentResponses:
             return fake_embed_identical(texts)
 
         responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=8)
-        assert [sid for sid, _ in responses] == [s.sample_id for s in samples]
-        assert {sid for sid, reply in responses if reply is None} == failing
+        assert {s.sample_id for s, reply in zip(samples, responses) if reply is None} == failing
         report = build_report("m", samples, responses, embed=flaky_embed)
         assert report.missing_count == len(failing)
         assert report.embedding_failure_count == 1
@@ -270,7 +269,7 @@ class TestPctConversational:
             )
             for sid, _, _ in CICD_RESPONSES
         ]
-        responses = [(sid, text) for sid, text, _ in CICD_RESPONSES]
+        responses = [text for _, text, _ in CICD_RESPONSES]
         report = build_report("cicd", samples, responses, threshold=60.0)
         assert report.pct_conversational == 50.0
         by_id = {r.sample_id: r for r in report.records}
@@ -279,13 +278,13 @@ class TestPctConversational:
 
 
 def fake_embed_identical(texts):
-    return [EmbeddingVector.from_iterable([1.0, 0.0]) for _ in texts]
+    return [EmbeddingVector([1.0, 0.0]) for _ in texts]
 
 
 def fake_embed_orthogonal(texts):
     # generated mapped to x, expected mapped to y
     return [
-        EmbeddingVector.from_iterable([1.0, 0.0] if i % 2 == 0 else [0.0, 1.0])
+        EmbeddingVector([1.0, 0.0] if i % 2 == 0 else [0.0, 1.0])
         for i, _ in enumerate(texts)
     ]
 
@@ -293,20 +292,20 @@ def fake_embed_orthogonal(texts):
 class TestSimilarity:
     def test_identical_answers_score_one(self):
         samples = make_samples(3)
-        responses = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
+        responses = [CONVERSATIONAL_TEXT] * len(samples)
         report = build_report("m", samples, responses, embed=fake_embed_identical)
         assert report.mean_semantic_similarity == pytest.approx(1.0)
         assert all(r.semantic_similarity == pytest.approx(1.0) for r in report.records)
 
     def test_orthogonal_answers_score_zero(self):
         samples = make_samples(2)
-        responses = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
+        responses = [CONVERSATIONAL_TEXT] * len(samples)
         report = build_report("m", samples, responses, embed=fake_embed_orthogonal)
         assert report.mean_semantic_similarity == pytest.approx(0.0)
 
     def test_embedding_failures_are_excluded_with_count(self):
         samples = make_samples(4)
-        responses = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
+        responses = [CONVERSATIONAL_TEXT] * len(samples)
         calls = {"n": 0}
 
         def flaky_embed(texts):
@@ -324,9 +323,9 @@ class TestSimilarity:
 class TestExclusionAccounting:
     def test_counts_always_reproduce_validation_size(self):
         samples = make_samples(10)
-        responses = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
-        responses[3] = ("qa-3", None)          # transport failure
-        responses[7] = ("qa-7", "...")         # unscorable reply
+        responses = [CONVERSATIONAL_TEXT] * len(samples)
+        responses[3] = None   # transport failure
+        responses[7] = "..."  # unscorable reply
         report = build_report("m", samples, responses)
         assert report.n_samples == 8
         assert report.missing_count == 2
@@ -336,23 +335,36 @@ class TestExclusionAccounting:
 
     def test_complete_run_flag(self):
         samples = make_samples(5)
-        responses = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
+        responses = [CONVERSATIONAL_TEXT] * len(samples)
         assert build_report("m", samples, responses).complete_run is True
 
     def test_no_scorable_responses_is_an_error(self):
         samples = make_samples(2)
-        responses = [(s.sample_id, None) for s in samples]
+        responses = [None] * len(samples)
         with pytest.raises(ValueError, match="no scorable"):
             build_report("m", samples, responses)
+
+
+class TestAlignment:
+    def test_samples_sharing_an_id_keep_their_own_question_and_answer(self):
+        # the i-th reply answers the i-th sample, whatever the ids say
+        first, second = make_samples(2)
+        second = dataclasses.replace(second, sample_id=first.sample_id)
+        report = build_report("m", [first, second], [CONVERSATIONAL_TEXT, STIFF_TEXT])
+        assert [(r.question, r.expected_answer, r.generated_answer) for r in report.records] == [
+            (first.question, first.answer_simplified, CONVERSATIONAL_TEXT),
+            (second.question, second.answer_simplified, STIFF_TEXT),
+        ]
+
+    def test_reply_count_must_match_sample_count(self):
+        with pytest.raises(ValueError):
+            build_report("m", make_samples(3), [CONVERSATIONAL_TEXT] * 2)
 
 
 class TestRescoringStability:
     def test_two_builds_agree_bit_exactly(self):
         samples = make_samples(6)
-        responses = [
-            (s.sample_id, CONVERSATIONAL_TEXT if i % 2 else STIFF_TEXT)
-            for i, s in enumerate(samples)
-        ]
+        responses = [CONVERSATIONAL_TEXT if i % 2 else STIFF_TEXT for i in range(len(samples))]
         first = build_report("m", samples, responses, embed=fake_embed_identical)
         second = build_report("m", samples, responses, embed=fake_embed_identical)
         assert first == second
@@ -363,8 +375,8 @@ class TestRescoringStability:
 class TestEmitReport:
     def build_pair(self):
         samples = make_samples(4)
-        stiff = [(s.sample_id, STIFF_TEXT) for s in samples]
-        chatty = [(s.sample_id, CONVERSATIONAL_TEXT) for s in samples]
+        stiff = [STIFF_TEXT] * len(samples)
+        chatty = [CONVERSATIONAL_TEXT] * len(samples)
         base = build_report("base", samples, stiff)
         tuned = build_report(
             "finetuned", samples, chatty, embed=fake_embed_identical,
@@ -422,10 +434,8 @@ class TestPublishedPercentageReplay:
         samples = make_samples(1000)
         reports = []
         for label, passing, _ in self.CASES:
-            responses = [
-                (s.sample_id, CONVERSATIONAL_TEXT if i < passing else STIFF_TEXT)
-                for i, s in enumerate(samples)
-            ]
+            responses = [CONVERSATIONAL_TEXT if i < passing else STIFF_TEXT
+                         for i in range(len(samples))]
             reports.append(build_report(label, samples, responses, threshold=60.0))
         paths = emit_report(reports, tmp_path)
         with open(paths["aggregate"], newline="", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Endpoint client: retries, auth handling, serialization, transcripts."""
+"""Endpoint client: retries, auth handling, serialization."""
 
 import json
 
@@ -8,6 +8,7 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ScriptedTransport
 from convoforge.gateway import (
     CHAT_PATH,
     EMBEDDINGS_PATH,
@@ -17,11 +18,9 @@ from convoforge.gateway import (
     MissingApiKeyError,
     NetworkError,
     ProtocolError,
-    TranscriptTransport,
     backoff_delay,
     complete_chat,
     embed_texts,
-    max_total_backoff,
     resolve_api_key,
 )
 
@@ -48,7 +47,7 @@ def chat_once(config, transport, **kwargs):
 
 class TestCompleteChat:
     def test_happy_path_returns_first_choice(self):
-        transport = TranscriptTransport([{"status": 200, "body": chat_body("ping")}])
+        transport = ScriptedTransport([{"status": 200, "body": chat_body("ping")}])
         completion = chat_once(CONFIG, transport)
         assert completion.content == "ping"
         assert completion.prompt_tokens == 3
@@ -61,7 +60,7 @@ class TestCompleteChat:
         assert payload["messages"] == [{"role": "user", "content": "ping"}]
 
     def test_rate_limited_twice_then_succeeds(self):
-        transport = TranscriptTransport([
+        transport = ScriptedTransport([
             {"status": 429, "body": "slow down"},
             {"status": 429, "body": "slow down"},
             {"status": 200, "body": chat_body("finally")},
@@ -77,7 +76,7 @@ class TestCompleteChat:
             base_url=CONFIG.base_url, api_key_env=CONFIG.api_key_env,
             max_retries=1, backoff_base=0.001,
         )
-        transport = TranscriptTransport([
+        transport = ScriptedTransport([
             {"status": 503, "body": "down"},
             {"status": 503, "body": "still down"},
         ])
@@ -86,24 +85,24 @@ class TestCompleteChat:
         assert len(transport.requests) == 2  # initial try + one retry, then give up
 
     def test_auth_failure_is_not_retried(self):
-        transport = TranscriptTransport([{"status": 401, "body": "bad key"}])
+        transport = ScriptedTransport([{"status": 401, "body": "bad key"}])
         with pytest.raises(AuthenticationError):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
         assert len(transport.requests) == 1
 
     def test_client_error_raises_protocol_error(self):
-        transport = TranscriptTransport([{"status": 404, "body": "no such route"}])
+        transport = ScriptedTransport([{"status": 404, "body": "no such route"}])
         with pytest.raises(ProtocolError, match="404"):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
     def test_malformed_body_raises_with_excerpt(self):
-        transport = TranscriptTransport([{"status": 200, "body": {"unexpected": True}}])
+        transport = ScriptedTransport([{"status": 200, "body": {"unexpected": True}}])
         with pytest.raises(ProtocolError, match="malformed completion body"):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
     def test_non_text_content_rejected(self):
         body = {"choices": [{"message": {"role": "assistant", "content": None}}]}
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
@@ -119,7 +118,7 @@ class TestCompleteChat:
         st.floats(min_value=0, max_value=2, allow_nan=False),
     )
     def test_payload_carries_every_field(self, messages, temperature):
-        transport = TranscriptTransport([{"status": 200, "body": chat_body()}])
+        transport = ScriptedTransport([{"status": 200, "body": chat_body()}])
         complete_chat(CONFIG, "m", messages, temperature, 32, transport)
         [(path, payload)] = transport.requests
         assert path == CHAT_PATH
@@ -145,7 +144,7 @@ class TestOutOfRangeNumbers:
         ),
     ], ids=["chat-usage", "embed-component"])
     def test_overflow_is_a_protocol_error(self, call, raw_body):
-        transport = TranscriptTransport([{"status": 200, "body": json.loads(raw_body)}])
+        transport = ScriptedTransport([{"status": 200, "body": json.loads(raw_body)}])
         with pytest.raises(ProtocolError, match="malformed"):
             call(transport)
 
@@ -160,10 +159,10 @@ class TestEmbeddings:
             ],
             "model": "emb",
         }
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         vectors = embed_texts(CONFIG, "emb", ["first", "second"], transport)
-        assert vectors[0].values == (1.0, 0.0)
-        assert vectors[1].values == (0.0, 1.0)
+        assert vectors[0].array.tolist() == [1.0, 0.0]
+        assert vectors[1].array.tolist() == [0.0, 1.0]
         path, payload = transport.requests[0]
         assert path == EMBEDDINGS_PATH
         assert payload == {"model": "emb", "input": ["first", "second"]}
@@ -177,13 +176,13 @@ class TestEmbeddings:
             ],
             "model": "emb",
         }
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="indices"):
             embed_texts(CONFIG, "emb", ["first", "second"], transport)
 
     def test_count_mismatch_raises(self):
         body = {"data": [{"index": 0, "embedding": [1.0]}], "model": "emb"}
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="count mismatch"):
             embed_texts(CONFIG, "emb", ["a", "b"], transport)
 
@@ -195,7 +194,7 @@ class TestEmbeddings:
             ],
             "model": "emb",
         }
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="dimensions"):
             embed_texts(CONFIG, "emb", ["a", "b"], transport)
 
@@ -214,23 +213,23 @@ class TestEmbeddings:
     ], ids=["none", "nested", "number", "string", "empty", "nan", "inf", "huge-int", "ragged"])
     def test_malformed_embedding_is_a_protocol_error(self, embedding):
         body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="malformed"):
             embed_texts(CONFIG, "emb", ["only"], transport, sleep=NO_SLEEP)
 
     def test_returned_vectors_are_read_only_copies(self):
         embedding = [0.6, 0.8]
         body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
-        transport = TranscriptTransport([{"status": 200, "body": body}])
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         (vector,) = embed_texts(CONFIG, "emb", ["only"], transport)
         assert vector.array.dtype == np.float64 and not vector.array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             vector.array[0] = 1.0
         embedding[0] = 5.0
-        assert vector.values == (0.6, 0.8)
+        assert vector.array.tolist() == [0.6, 0.8]
 
     def test_empty_input_rejected_without_io(self):
-        transport = TranscriptTransport([])
+        transport = ScriptedTransport([])
         with pytest.raises(ValueError):
             embed_texts(CONFIG, "emb", [], transport)
         with pytest.raises(ValueError):
@@ -275,7 +274,7 @@ class TestBackoff:
             base_url="https://x", api_key_env="K",
             max_retries=3, backoff_base=0.01,
         )
-        transport = TranscriptTransport(
+        transport = ScriptedTransport(
             [{"status": 429, "body": "later"}] * 3 + [{"status": 200, "body": chat_body()}]
         )
         sleeps = []
@@ -283,7 +282,8 @@ class TestBackoff:
         assert len(sleeps) == 3
         assert sleeps == sorted(sleeps)  # jitter never reorders the series
         assert all(s > 0 for s in sleeps)
-        assert sum(sleeps) <= max_total_backoff(config)
+        # each delay at most its full-jitter value
+        assert sum(sleeps) <= sum(backoff_delay(config, n, lambda: 1.0) for n in (1, 2, 3))
 
     @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0, max_value=1))
     def test_delay_formula_bounds(self, retry_number, jitter):
@@ -293,11 +293,3 @@ class TestBackoff:
         delay = backoff_delay(config, retry_number, lambda: jitter)
         floor = 0.5 * 2 ** (retry_number - 1)
         assert floor <= delay <= floor * 1.25
-
-
-class TestTranscript:
-    def test_exhausted_transcript_is_a_protocol_error(self):
-        transport = TranscriptTransport([{"status": 200, "body": chat_body()}])
-        chat_once(CONFIG, transport)
-        with pytest.raises(ProtocolError, match="exhausted"):
-            chat_once(CONFIG, transport)

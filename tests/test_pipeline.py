@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from convoforge.pipeline import (
     export_finetune_file,
     generate_qa,
     ingest_corpus,
+    load_samples,
     ordered_map,
     read_corpus_file,
     run_pipeline,
@@ -240,21 +242,21 @@ class TestRunPipeline:
     def test_every_section_lands_in_exactly_one_outcome(
         self, corpus50_records, sim_fns, tmp_path
     ):
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        counts = result.manifest["counts"]
+        counts = manifest["counts"]
         assert set(counts) == set(OUTCOMES)
         assert sum(counts.values()) == 50
-        assert result.manifest["consumed_sections"] == 50
+        assert manifest["consumed_sections"] == 50
 
     def test_run_matches_golden_manifest(
         self, corpus50_records, sim_fns, tmp_path, golden_manifest
     ):
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        assert result.manifest == golden_manifest
+        assert manifest == golden_manifest
         on_disk = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert on_disk == golden_manifest
 
@@ -276,10 +278,11 @@ class TestRunPipeline:
     ):
         from convoforge.simulate import _DUP_QUESTION
 
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        dup_a = [s for s in result.samples if s.section_id == "sec-dup-a-001"]
+        samples = load_samples(tmp_path / "samples.jsonl")
+        dup_a = [s for s in samples if s.section_id == "sec-dup-a-001"]
         assert [s.question for s in dup_a] == [_DUP_QUESTION]
         traces = read_corpus_file(tmp_path / "traces.jsonl")
         dup_b = [t for t in traces if t["section_id"] == "sec-dup-b-001"]
@@ -290,11 +293,12 @@ class TestRunPipeline:
     def test_accepted_samples_pass_the_gate_when_rescored(
         self, corpus50_records, sim_fns, tmp_path
     ):
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        assert result.samples, "expected accepted samples"
-        for sample in result.samples:
+        samples = load_samples(tmp_path / "samples.jsonl")
+        assert samples, "expected accepted samples"
+        for sample in samples:
             rescored = flesch_reading_ease(sample.answer_simplified).flesch_score
             assert rescored == sample.flesch_score
             assert rescored >= 75.0
@@ -316,26 +320,27 @@ class TestRunPipeline:
 
     def test_stops_once_the_target_is_reached(self, corpus50_records, sim_fns, tmp_path):
         config = tiny_config(target_samples=5)
-        result = run_pipeline(
+        manifest = run_pipeline(
             config, corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        assert len(result.samples) == 5
-        assert result.manifest["shortfall"] is False
+        assert manifest["sample_count"] == 5
+        assert len(load_samples(tmp_path / "samples.jsonl")) == 5
+        assert manifest["shortfall"] is False
         # consumed well under the full corpus
-        assert result.manifest["consumed_sections"] < 50
-        counts = result.manifest["counts"]
-        assert sum(counts.values()) == result.manifest["consumed_sections"]
+        assert manifest["consumed_sections"] < 50
+        counts = manifest["counts"]
+        assert sum(counts.values()) == manifest["consumed_sections"]
 
     def test_exhausted_corpus_flags_shortfall(
         self, corpus50_records, sim_fns, tmp_path, caplog
     ):
         with caplog.at_level(logging.WARNING):
-            result = run_pipeline(
+            manifest = run_pipeline(
                 PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed,
                 tmp_path, limit=10,
             )
-        assert result.manifest["consumed_sections"] == 10
-        assert result.manifest["shortfall"] is True
+        assert manifest["consumed_sections"] == 10
+        assert manifest["shortfall"] is True
         assert any("partial" in r.message for r in caplog.records)
 
     def test_resume_skips_consumed_sections(self, corpus50_records, tmp_path, golden_manifest):
@@ -346,19 +351,17 @@ class TestRunPipeline:
             PipelineConfig(), corpus50_records, first.chat, first.embed,
             tmp_path, limit=20,
         )
-        assert partial.manifest["consumed_sections"] == 20
+        assert partial["consumed_sections"] == 20
 
         second = SimFns()
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, second.chat, second.embed,
             tmp_path, resume=True,
         )
-        assert result.manifest["consumed_sections"] == 50
-        assert result.manifest["counts"] == golden_manifest["counts"]
-        sample_ids = [s.sample_id for s in result.samples]
-        assert len(sample_ids) == len(set(sample_ids)) == 42
-        on_disk = read_corpus_file(tmp_path / "samples.jsonl")
-        assert [r["sample_id"] for r in on_disk] == sample_ids
+        assert manifest["consumed_sections"] == 50
+        assert manifest["counts"] == golden_manifest["counts"]
+        sample_ids = [s.sample_id for s in load_samples(tmp_path / "samples.jsonl")]
+        assert len(sample_ids) == len(set(sample_ids)) == manifest["sample_count"] == 42
 
     def test_embedding_failure_is_a_generation_error(
         self, corpus50_records, sim_fns, tmp_path, golden_manifest
@@ -373,7 +376,7 @@ class TestRunPipeline:
                 raise raised[0]
             return sim_fns.embed(texts)
 
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, embed, tmp_path / "protocol"
         )
         traces = read_corpus_file(tmp_path / "protocol" / "traces.jsonl")
@@ -384,9 +387,9 @@ class TestRunPipeline:
             assert trace["error"].startswith("malformed embeddings body")
             assert trace["attempt_scores"] and trace["attempt_scores"][-1] >= 75.0
             assert trace["sample_id"] is None
-        counts = result.manifest["counts"]
+        counts = manifest["counts"]
         assert counts["accepted"] == golden_manifest["counts"]["accepted"] - len(failing)
-        assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
+        assert sum(counts.values()) == manifest["consumed_sections"] == 50
         failed_ids = {f"qa-{sid}" for sid in failing}
         on_disk = read_corpus_file(tmp_path / "protocol" / "samples.jsonl")
         assert not failed_ids & {r["sample_id"] for r in on_disk}
@@ -481,10 +484,10 @@ class TestRunPipeline:
         assert not (tmp_path / "manifest.json").exists()
 
         resumed = SimFns()
-        result = run_pipeline(
+        manifest = run_pipeline(
             PipelineConfig(), corpus50_records, resumed.chat, resumed.embed, tmp_path, resume=True,
         )
-        assert result.manifest["consumed_sections"] == 50
+        assert manifest["consumed_sections"] == 50
         whole = SimFns()
         run_pipeline(PipelineConfig(), corpus50_records, whole.chat, whole.embed, tmp_path / "whole")
         assert artifact_bytes(tmp_path) == artifact_bytes(tmp_path / "whole")
@@ -500,10 +503,11 @@ class TestRunPipeline:
             tiny_config(target_samples=12), corpus50_records, first.chat, first.embed,
             stopped_dir,
         )
-        consumed = stopped.manifest["consumed_sections"]
-        assert len(stopped.samples) == 12
+        consumed = stopped["consumed_sections"]
+        assert stopped["sample_count"] == 12
+        assert len(load_samples(stopped_dir / "samples.jsonl")) == 12
         assert consumed < 50
-        assert sum(stopped.manifest["counts"].values()) == consumed
+        assert sum(stopped["counts"].values()) == consumed
         assert len(read_corpus_file(stopped_dir / "traces.jsonl")) == consumed
 
         second = SimFns()
@@ -511,7 +515,7 @@ class TestRunPipeline:
             PipelineConfig(), corpus50_records, second.chat, second.embed,
             stopped_dir, resume=True,
         )
-        assert resumed.manifest["consumed_sections"] == 50
+        assert resumed["consumed_sections"] == 50
         whole = SimFns()
         run_pipeline(PipelineConfig(), corpus50_records, whole.chat, whole.embed, tmp_path / "whole")
         for name in ("samples.jsonl", "index.tsv"):
@@ -534,12 +538,12 @@ class TestRunPipeline:
                         started.add(section_id)
                 return fns.chat(messages, temperature)
 
-            result = run_pipeline(
+            manifest = run_pipeline(
                 tiny_config(target_samples=12, concurrency_limit=limit), corpus50_records,
                 chat, fns.embed, tmp_path / str(limit),
             )
-            assert len(result.samples) == 12
-            return result.manifest["consumed_sections"], len(started), calls[0]
+            assert manifest["sample_count"] == 12
+            return manifest["consumed_sections"], len(started), calls[0]
 
         consumed, started, calls = counted_run(limit=8)
         serial_consumed, serial_started, serial_calls = counted_run(limit=1)
@@ -635,7 +639,7 @@ class TestFaultInjection:
         order = shuffled_ids(corpus50_records)
         for attempt in range(100):
             try:
-                result = run_pipeline(config, corpus50_records, faulty.chat, faulty.embed, out,
+                manifest = run_pipeline(config, corpus50_records, faulty.chat, faulty.embed, out,
                                       resume=attempt > 0)
                 break
             except error as exc:
@@ -650,10 +654,10 @@ class TestFaultInjection:
         assert 0 < attempt <= faulty.raised
         assert artifact_bytes(out) == artifact_bytes(tmp_path / "whole")
         index = load_index(out / "index.tsv")
-        assert index.ids == [s.sample_id for s in result.samples]
+        assert index.ids == [s.sample_id for s in load_samples(out / "samples.jsonl")]
         assert find_violations(index) == []
-        counts = result.manifest["counts"]
-        assert sum(counts.values()) == result.manifest["consumed_sections"] == 50
+        counts = manifest["counts"]
+        assert sum(counts.values()) == manifest["consumed_sections"] == 50
 
 
 class TestOrderedMap:
@@ -698,6 +702,42 @@ class TestOrderedMap:
         assert not timer.is_alive()
         assert started == finished
         assert set(started) <= {0, 1}
+
+    def test_no_item_starts_after_a_call_has_raised(self):
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            if i == 0:
+                time.sleep(0.2)  # the head still runs when item 1 fails
+            if i == 1:
+                raise ValueError("item 1")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            list(ordered_map(fn, range(10), 2))
+        assert sorted(calls) == [0, 1]  # items 2 and 3 were submitted, never started
+
+    def test_first_failure_ends_the_map_in_order_under_contention(self):
+        # More workers than cores and a short switch interval: items before
+        # the failing one still all run and are yielded, and its own error
+        # ends the map, however the threads interleave.
+        def fn(i):
+            time.sleep(0.0002 * (i % 3))
+            if i in (20, 23):
+                raise ValueError(f"item {i}")
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                yielded = []
+                with pytest.raises(ValueError, match="item 20"):
+                    yielded.extend(ordered_map(fn, range(200), 8))
+                assert yielded == list(range(20))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def make_samples(n: int) -> list[QaSample]:
