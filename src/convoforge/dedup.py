@@ -9,11 +9,11 @@ are the rows of one float64 matrix whose capacity doubles when full,
 beside one array of their norms. At ten thousand entries approximate
 search gains nothing, and exactness keeps the boundary testable.
 
-An EmbeddingVector holds one read-only 1-D float64 array, parsed once,
-where the gateway reads the endpoint's reply or load_index a snapshot
-line, and checked there: one dimension, at least one component, all
-finite. The index copies that array into its matrix without boxing a
-component, and never keeps a reference to it.
+Embeddings are checked once, by embedding_matrix, where they enter:
+the gateway's reply to one batch becomes one read-only float64 (n, d)
+matrix, and load_index reads each snapshot line as a one-row matrix. The
+index and cosine_similarity then take plain 1-D rows; the index copies
+each row into its matrix and never keeps a reference to the caller's.
 
 The insert check, the violation scan and cosine_similarity share one
 kernel, `_similarities`, built on np.einsum rather than `@`: einsum
@@ -34,41 +34,13 @@ import numpy as np
 DEDUP_THRESHOLD = 0.8
 
 
-class EmbeddingVector:
-    """One embedding: a read-only 1-D float64 array of finite components.
-
-    The constructor copies `values` (a sequence or array) once; nothing a
-    caller does to its own list or array afterwards reaches the vector.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, values):
-        array = np.array(values, dtype=np.float64)
-        if array.ndim != 1:
-            raise ValueError(f"embedding must be a flat list of numbers, got shape {array.shape}")
-        if not array.size:
-            raise ValueError("embedding must have at least one component")
-        if not np.isfinite(array).all():
-            raise ValueError("embedding components must be finite")
-        array.flags.writeable = False
-        self._array = array
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
-    @property
-    def dimension(self) -> int:
-        return self._array.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        return bool(np.array_equal(self._array, other._array))
-
-    def __repr__(self) -> str:
-        return f"EmbeddingVector({self._array.tolist()!r})"
+def embedding_matrix(rows) -> np.ndarray:
+    """A read-only float64 copy of `rows`: 2-D, at least one column, all finite."""
+    matrix = np.array(rows, dtype=np.float64)
+    if matrix.ndim != 2 or not matrix.shape[1] or not np.isfinite(matrix).all():
+        raise ValueError(f"embeddings must be non-empty finite rows, got shape {matrix.shape}")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.ndarray:
@@ -76,19 +48,17 @@ def _similarities(rows: np.ndarray, norms, probe: np.ndarray, probe_norm) -> np.
     return np.einsum("ij,j->i", rows, probe) / (norms * probe_norm)
 
 
-def _as_row(vector: EmbeddingVector) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(vector.array))
+def _norm(row: np.ndarray) -> float:
+    norm = float(np.linalg.norm(row))
     if norm == 0.0:
         raise ValueError("cosine similarity is undefined for zero-magnitude vectors")
-    return vector.array, norm
+    return norm
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    arr_a, norm_a = _as_row(a)
-    arr_b, norm_b = _as_row(b)
-    return float(_similarities(arr_a[None, :], norm_a, arr_b, norm_b)[0])
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    if a.size != b.size:
+        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
+    return float(_similarities(a[None, :], _norm(a), b, _norm(b))[0])
 
 
 @dataclass(frozen=True)
@@ -127,13 +97,13 @@ class QuestionIndex:
         """Sample ids in insertion order."""
         return list(self._ids)
 
-    def _prepare(self, sample_id: str, vector: EmbeddingVector) -> tuple[np.ndarray, float]:
+    def _prepare(self, sample_id: str, row: np.ndarray) -> tuple[np.ndarray, float]:
         if sample_id in self._id_set:
             raise ValueError(f"duplicate sample_id {sample_id!r}")
         dimension = self._rows.shape[1]
-        if self._ids and vector.dimension != dimension:
-            raise ValueError(f"dimension mismatch: index holds {dimension}, got {vector.dimension}")
-        return _as_row(vector)
+        if self._ids and row.size != dimension:
+            raise ValueError(f"dimension mismatch: index holds {dimension}, got {row.size}")
+        return row, _norm(row)
 
     def _insert(self, sample_id: str, arr: np.ndarray, norm: float) -> None:
         """Copy `arr` into the next row; the index never aliases a caller's array."""
@@ -149,18 +119,18 @@ class QuestionIndex:
         self._ids.append(sample_id)
         self._id_set.add(sample_id)
 
-    def add_unchecked(self, sample_id: str, vector: EmbeddingVector) -> None:
+    def add_unchecked(self, sample_id: str, row: np.ndarray) -> None:
         """Insert without a similarity check (bulk loads, snapshots)."""
-        self._insert(sample_id, *self._prepare(sample_id, vector))
+        self._insert(sample_id, *self._prepare(sample_id, row))
 
-    def check_and_insert(self, sample_id: str, vector: EmbeddingVector) -> DedupDecision:
+    def check_and_insert(self, sample_id: str, row: np.ndarray) -> DedupDecision:
         """Insert unless a stored entry is strictly closer than threshold.
 
         Returns the nearest entry either way; on a similarity tie the
-        earliest-inserted entry is reported. Rejected vectors are not
+        earliest-inserted entry is reported. Rejected rows are not
         inserted.
         """
-        arr, norm = self._prepare(sample_id, vector)
+        arr, norm = self._prepare(sample_id, row)
         n = len(self._ids)
         if n == 0:
             self._insert(sample_id, arr, norm)
@@ -201,11 +171,11 @@ def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:
                 continue
             try:
                 sample_id, decimals = line.split("\t")
-                vector = EmbeddingVector(decimals.split(" "))
+                (row,) = embedding_matrix([decimals.split(" ")])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed index line") from exc
             try:
-                index.add_unchecked(sample_id, vector)
+                index.add_unchecked(sample_id, row)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return index

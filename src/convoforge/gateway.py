@@ -27,9 +27,10 @@ from typing import (
     get_type_hints,
 )
 
+import numpy as np
 import requests
 
-from .dedup import EmbeddingVector
+from .dedup import embedding_matrix
 
 CHAT_PATH = "/chat/completions"
 EMBEDDINGS_PATH = "/embeddings"
@@ -250,8 +251,8 @@ def embed_texts(
     texts: Sequence[str],
     transport: Transport,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[EmbeddingVector]:
-    """Embed `texts`, preserving order; one vector per input."""
+) -> np.ndarray:
+    """Embed `texts` as one read-only float64 (n, d) matrix; row k embeds texts[k]."""
     if not texts:
         raise ValueError("texts must be non-empty")
     if any(not t for t in texts):
@@ -261,16 +262,13 @@ def embed_texts(
     body = response.body
     try:
         rows = sorted(body["data"], key=lambda row: row["index"])
-        vectors = [EmbeddingVector(row["embedding"]) for row in rows]
+        matrix = embedding_matrix([row["embedding"] for row in rows])
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed embeddings body: {_excerpt(body)}") from exc
-    if len(vectors) != len(texts):
+    if len(matrix) != len(texts):
         raise ProtocolError(
-            f"embedding count mismatch: sent {len(texts)} texts, got {len(vectors)} vectors"
+            f"embedding count mismatch: sent {len(texts)} texts, got {len(matrix)} vectors"
         )
     if [row["index"] for row in rows] != list(range(len(texts))):
         raise ProtocolError(f"embedding indices do not match inputs: {_excerpt(body)}")
-    dims = {v.dimension for v in vectors}
-    if len(dims) > 1:
-        raise ProtocolError(f"mixed embedding dimensions in one batch: {sorted(dims)}")
-    return vectors
+    return matrix

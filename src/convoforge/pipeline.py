@@ -38,8 +38,10 @@ from itertools import islice
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import prompts
-from .dedup import DEDUP_THRESHOLD, EmbeddingVector, QuestionIndex, load_index, save_index
+from .dedup import DEDUP_THRESHOLD, QuestionIndex, load_index, save_index
 from .gateway import ProtocolError, check_fields
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
@@ -54,8 +56,8 @@ INDEX_FILENAME = "index.tsv"
 
 # Signature of the chat seam: (messages, temperature) -> assistant text.
 ChatFn = Callable[[Sequence[dict], float], str]
-# (texts) -> one embedding per text, order preserved.
-EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
+# (texts) -> a read-only float64 (n, d) matrix whose row k embeds texts[k].
+EmbedFn = Callable[[Sequence[str]], np.ndarray]
 
 # Depth 2 matched 4 on synth-latency's placeholder latencies; no real traffic set it.
 _AHEAD = 2
@@ -192,8 +194,9 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
 
     Records without a usable text field are skipped with a warning, short
     sections are dropped silently per the length floor. Two kept sections
-    with one id would share a sample id, so they raise ValueError. Warnings
-    and errors number records from 1, in input order.
+    with one id would share a sample id, and a tab, LF or CR in an id would
+    split its index.tsv line, so either raises ValueError. Warnings and
+    errors number records from 1, in input order.
     """
     materialized = list(records)
     order = list(range(len(materialized)))
@@ -211,6 +214,9 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
             result.excluded_short += 1
             continue
         section_id = str(record.get("id") or record.get("section_id") or f"sec{position:06d}")
+        if any(c in section_id for c in "\t\n\r"):
+            raise ValueError(f"corpus record {number + 1} has a tab, LF or CR in its "
+                             f"section id {section_id!r}")
         if section_id in record_of_id:
             first, second = sorted((record_of_id[section_id], number))
             raise ValueError(f"corpus records {first + 1} and {second + 1} share the "
@@ -297,7 +303,7 @@ def _process_section(
     embed: EmbedFn,
     qa_template: str = prompts.QA_GENERATION_TEMPLATE,
     simplify_template: str = prompts.SIMPLIFY_TEMPLATE,
-) -> tuple[GenerationTrace, Optional[tuple[QaSample, EmbeddingVector]]]:
+) -> tuple[GenerationTrace, Optional[tuple[QaSample, np.ndarray]]]:
     """Everything a worker can decide without touching shared state.
 
     Returns the section's trace and, for a gate-passing answer, the

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import DATA_DIR, ScriptedTransport, SimFns
 from convoforge.cli import _chat_fn
-from convoforge.dedup import EmbeddingVector, QuestionIndex
+from convoforge.dedup import QuestionIndex
 from convoforge.evalharness import (
     NOT_DESK_REPRODUCIBLE,
     build_report,
@@ -102,11 +102,11 @@ def test_criterion_2_threshold_boundaries():
 
     # dedup: similarity strictly above the threshold rejects; 0.80 exactly stays
     index = QuestionIndex(threshold=0.8)
-    index.check_and_insert("anchor", EmbeddingVector([1.0, 0.0]))
-    exactly = index.check_and_insert("at", EmbeddingVector([4.0, 3.0]))
+    index.check_and_insert("anchor", np.array([1.0, 0.0]))
+    exactly = index.check_and_insert("at", np.array([4.0, 3.0]))
     assert exactly.accepted
     assert exactly.nearest_similarity == 0.8
-    above = index.check_and_insert("over", EmbeddingVector([4.000001, 3.0]))
+    above = index.check_and_insert("over", np.array([4.000001, 3.0]))
     assert not above.accepted
     assert above.nearest_similarity > 0.8
 
@@ -173,9 +173,7 @@ def test_criterion_4_dedup_matches_brute_force():
                 ref_best = float(np.max(sims))
             else:
                 ref_best = None
-            decision = index.check_and_insert(
-                f"v{i}", EmbeddingVector(probe.tolist())
-            )
+            decision = index.check_and_insert(f"v{i}", probe)
             if ref_best is None:
                 assert decision.accepted
             else:

@@ -259,6 +259,24 @@ class TestSynthErrors:
         assert "corpus records 1 and 51 share the section id 'sec-ok-001'" in err
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_corpus_id_that_would_split_an_index_line_leaves_a_finished_run_untouched(
+        self, capsys, synthesized_run, char
+    ):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        records = read_corpus_file(DATA_DIR / "corpus_50.jsonl")
+        records[0]["id"] += f"a{char}b"
+        corpus = synthesized_run / "corpus_bad_id.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = write_dryrun_config(synthesized_run)
+        config.write_text(config.read_text("utf-8").replace(
+            str(DATA_DIR / "corpus_50.jsonl"), str(corpus)), encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 3
+        assert "corpus record 1 has a tab, LF or CR in its section id" in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
     def test_negative_limit_leaves_a_finished_run_untouched(self, capsys, synthesized_run):
         run_dir = synthesized_run / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}

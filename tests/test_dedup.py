@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 
 from convoforge.dedup import (
     DedupDecision,
-    EmbeddingVector,
     QuestionIndex,
     cosine_similarity,
+    embedding_matrix,
     find_violations,
     load_index,
     save_index,
 )
 
 
-def vec(*values) -> EmbeddingVector:
-    return EmbeddingVector(values)
+def vec(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
 class TestCosine:
@@ -42,12 +42,6 @@ class TestCosine:
         with pytest.raises(ValueError, match="dimension"):
             cosine_similarity(vec(1, 2), vec(1, 2, 3))
 
-    def test_zero_vector_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector([])
-        with pytest.raises(ValueError):
-            EmbeddingVector([float("nan")])
-
     @given(
         st.lists(
             st.floats(min_value=-100, max_value=100).filter(
@@ -61,8 +55,8 @@ class TestCosine:
     def test_scale_invariance(self, values, scale):
         if not any(values):
             values[0] = 1.0
-        a = EmbeddingVector(values)
-        b = EmbeddingVector([v * scale for v in values])
+        a = vec(*values)
+        b = vec(*(v * scale for v in values))
         assert cosine_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -79,37 +73,34 @@ COSINE_SHA256 = {
 @pytest.mark.parametrize("dim", sorted(COSINE_SHA256))
 def test_cosine_bits_are_pinned_on_varied_vectors(dim):
     pairs = np.random.default_rng(dim).standard_normal((200, 2, dim))
-    sims = np.array([cosine_similarity(EmbeddingVector(a), EmbeddingVector(b)) for a, b in pairs])
+    sims = np.array([cosine_similarity(a, b) for a, b in pairs])
     assert hashlib.sha256(sims.tobytes()).hexdigest() == COSINE_SHA256[dim]
 
 
-class TestEmbeddingVector:
+class TestEmbeddingMatrix:
     def test_holds_a_read_only_float64_copy(self):
-        source = np.array([0.6, 0.8])
-        vector = EmbeddingVector(source)
-        assert vector.array.dtype == np.float64 and vector.array.ndim == 1
+        source = np.array([[0.6, 0.8]])
+        matrix = embedding_matrix(source)
+        assert matrix.dtype == np.float64 and matrix.shape == (1, 2)
         with pytest.raises(ValueError, match="read-only"):
-            vector.array[0] = 1.0
-        source[0] = 5.0
-        assert vector.array.tolist() == [0.6, 0.8]
+            matrix[0, 0] = 1.0
+        source[0, 0] = 5.0
+        assert matrix.tolist() == [[0.6, 0.8]]
         assert source.flags.writeable  # the caller's array is left as it was
 
-    def test_equality_and_dimension(self):
-        assert vec(1, 2) == EmbeddingVector(np.array([1.0, 2.0]))
-        assert vec(1, 2) != vec(1, 2, 0) and vec(1, 2) != vec(2, 1)
-        assert vec(1, 2).dimension == 2
-
-    @pytest.mark.parametrize("values", [
-        [[1.0, 0.0]], 1.0, None, [None, 1.0], [], [float("inf")], [[1.0], [2.0, 3.0]],
-    ], ids=["nested", "number", "none", "none-component", "empty", "inf", "ragged"])
-    def test_rejects_anything_but_a_flat_finite_list(self, values):
+    @pytest.mark.parametrize("rows", [
+        [[[1.0, 0.0]]], [1.0, 0.0], 1.0, None, [[None, 1.0]], [[]],
+        [[float("inf")]], [[float("nan")]], [[1.0], [2.0, 3.0]],
+    ], ids=["nested", "flat", "number", "none", "none-component", "empty",
+            "inf", "nan", "ragged"])
+    def test_rejects_anything_but_non_empty_finite_rows(self, rows):
         with pytest.raises(ValueError):
-            EmbeddingVector(values)
+            embedding_matrix(rows)
 
     def test_index_does_not_alias_the_source(self, tmp_path):
         source = np.array([1.0, 0.0, 0.0])
         index = QuestionIndex(threshold=0.8)
-        index.check_and_insert("a", EmbeddingVector(source))
+        index.check_and_insert("a", source)
         index.add_unchecked("b", vec(0, 1, 0))
         before = tmp_path / "before.tsv"
         save_index(index, before)
@@ -316,7 +307,7 @@ def test_no_indexed_pair_exceeds_threshold_at_the_boundary(dim):
     assert find_violations(index) == []
 
 
-def brute_force_nearest(entries, probe: EmbeddingVector):
+def brute_force_nearest(entries, probe: np.ndarray):
     """Independent reference: nearest stored entry by cosine, ties to earliest."""
     best_id, best_sim = None, -math.inf
     for entry_id, stored in entries:
@@ -341,12 +332,9 @@ def test_index_matches_brute_force(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
 
     rng = np.random.default_rng(seed)
-    vectors = [
-        EmbeddingVector(rng.standard_normal(dim).tolist())
-        for _ in range(count)
-    ]
+    vectors = [rng.standard_normal(dim) for _ in range(count)]
     index = QuestionIndex(threshold=threshold)
-    accepted: list[tuple[str, EmbeddingVector]] = []
+    accepted: list[tuple[str, np.ndarray]] = []
     for i, vector in enumerate(vectors):
         expected_id, expected_sim = brute_force_nearest(accepted, vector)
         decision = index.check_and_insert(f"v{i}", vector)

@@ -6,13 +6,13 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ScriptedTransport
 from convoforge.cli import _chat_fn
-from convoforge.dedup import EmbeddingVector
 from convoforge.evalharness import (
     NOT_DESK_REPRODUCIBLE,
     EvalRecord,
@@ -278,15 +278,12 @@ class TestPctConversational:
 
 
 def fake_embed_identical(texts):
-    return [EmbeddingVector([1.0, 0.0]) for _ in texts]
+    return np.array([[1.0, 0.0] for _ in texts])
 
 
 def fake_embed_orthogonal(texts):
     # generated mapped to x, expected mapped to y
-    return [
-        EmbeddingVector([1.0, 0.0] if i % 2 == 0 else [0.0, 1.0])
-        for i, _ in enumerate(texts)
-    ]
+    return np.array([[1.0, 0.0] if i % 2 == 0 else [0.0, 1.0] for i, _ in enumerate(texts)])
 
 
 class TestSimilarity:

@@ -160,9 +160,9 @@ class TestEmbeddings:
             "model": "emb",
         }
         transport = ScriptedTransport([{"status": 200, "body": body}])
-        vectors = embed_texts(CONFIG, "emb", ["first", "second"], transport)
-        assert vectors[0].array.tolist() == [1.0, 0.0]
-        assert vectors[1].array.tolist() == [0.0, 1.0]
+        matrix = embed_texts(CONFIG, "emb", ["first", "second"], transport)
+        assert matrix.shape == (2, 2)
+        assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         path, payload = transport.requests[0]
         assert path == EMBEDDINGS_PATH
         assert payload == {"model": "emb", "input": ["first", "second"]}
@@ -186,47 +186,44 @@ class TestEmbeddings:
         with pytest.raises(ProtocolError, match="count mismatch"):
             embed_texts(CONFIG, "emb", ["a", "b"], transport)
 
-    def test_mixed_dimensions_raise(self):
-        body = {
-            "data": [
-                {"index": 0, "embedding": [1.0, 0.0]},
-                {"index": 1, "embedding": [1.0]},
-            ],
-            "model": "emb",
-        }
+    # One list per text. np.array would turn None into nan, a nested list
+    # into a 3-D array, a bare number or a string into a 1-D one, and rows of
+    # two lengths into no array at all; each must fail the call.
+    @pytest.mark.parametrize("embeddings", [
+        [[None, 1.0]],
+        [None],
+        [[[1.0, 0.0]]],
+        [1.0],
+        ["12"],
+        [[]],
+        [[float("nan"), 1.0]],
+        [[float("inf"), 1.0]],
+        [[10**400, 1.0]],
+        [[[1.0], [2.0, 3.0]]],
+        [[1.0, 0.0], [1.0]],
+    ], ids=["none", "bare-none", "nested", "number", "string", "empty", "nan", "inf",
+            "huge-int", "ragged", "ragged-rows"])
+    def test_malformed_embedding_is_a_protocol_error(self, embeddings):
+        body = {"data": [{"index": k, "embedding": e} for k, e in enumerate(embeddings)],
+                "model": "emb"}
         transport = ScriptedTransport([{"status": 200, "body": body}])
-        with pytest.raises(ProtocolError, match="dimensions"):
-            embed_texts(CONFIG, "emb", ["a", "b"], transport)
-
-    # np.array would turn None into nan, a nested list into a 2-D array and
-    # a bare number or a string into a 0-D array; each must fail the call.
-    @pytest.mark.parametrize("embedding", [
-        [None, 1.0],
-        [[1.0, 0.0]],
-        1.0,
-        "12",
-        [],
-        [float("nan"), 1.0],
-        [float("inf"), 1.0],
-        [10**400, 1.0],
-        [[1.0], [2.0, 3.0]],
-    ], ids=["none", "nested", "number", "string", "empty", "nan", "inf", "huge-int", "ragged"])
-    def test_malformed_embedding_is_a_protocol_error(self, embedding):
-        body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
-        transport = ScriptedTransport([{"status": 200, "body": body}])
+        texts = [f"text {k}" for k in range(len(embeddings))]
         with pytest.raises(ProtocolError, match="malformed"):
-            embed_texts(CONFIG, "emb", ["only"], transport, sleep=NO_SLEEP)
+            embed_texts(CONFIG, "emb", texts, transport, sleep=NO_SLEEP)
 
     def test_returned_vectors_are_read_only_copies(self):
-        embedding = [0.6, 0.8]
-        body = {"data": [{"index": 0, "embedding": embedding}], "model": "emb"}
+        first, second = [0.6, 0.8], [0.0, 1.0]
+        body = {"data": [{"index": 1, "embedding": second}, {"index": 0, "embedding": first}],
+                "model": "emb"}
         transport = ScriptedTransport([{"status": 200, "body": body}])
-        (vector,) = embed_texts(CONFIG, "emb", ["only"], transport)
-        assert vector.array.dtype == np.float64 and not vector.array.flags.writeable
+        matrix = embed_texts(CONFIG, "emb", ["a", "b"], transport)
+        assert matrix.shape == (2, 2) and matrix.dtype == np.float64
+        assert not matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            vector.array[0] = 1.0
-        embedding[0] = 5.0
-        assert vector.array.tolist() == [0.6, 0.8]
+            matrix[0, 0] = 1.0
+        first[0] = 5.0
+        second.append(2.0)
+        assert matrix.tolist() == [[0.6, 0.8], [0.0, 1.0]]
 
     def test_empty_input_rejected_without_io(self):
         transport = ScriptedTransport([])
