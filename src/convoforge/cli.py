@@ -216,6 +216,9 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
         missing = [label for label in args.models if label not in specs]
         if missing:
             raise ConfigError(f"labels not in config: {', '.join(missing)}")
+        repeated = sorted({label for label in args.models if args.models.count(label) > 1})
+        if repeated:
+            raise ConfigError(f"--model labels must be unique, repeated: {', '.join(repeated)}")
         selected = [specs[label] for label in args.models]
     else:
         selected = list(evaluation.models)

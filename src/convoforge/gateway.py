@@ -6,6 +6,8 @@ bearer token pulled from the environment. Transient failures (429 and
 5xx) are retried with exponential backoff and jitter; auth failures are
 not. Any object with Transport's post method can stand in for the
 network: the dry run's simulator, or a scripted double in tests.
+`requests` is imported only when an HttpTransport is built, so a command
+that talks to no live endpoint never loads the HTTP stack.
 
 A chat call's messages are the wire's {"role", "content"} objects, passed
 through unchanged: callers write the roles as literals (a user turn in
@@ -28,7 +30,6 @@ from typing import (
 )
 
 import numpy as np
-import requests
 
 from .dedup import embedding_matrix
 
@@ -142,15 +143,22 @@ def resolve_api_key(config: GatewayConfig) -> str:
 
 
 class HttpTransport:
-    """requests-backed transport; resolves the API key at construction."""
+    """requests-backed transport; resolves the API key at construction.
+
+    `requests` is imported here, not at module load, so only a command that
+    talks to a live endpoint pays for loading it."""
 
     def __init__(self, config: GatewayConfig):
+        import requests
+
         self._config = config
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"Bearer {resolve_api_key(config)}"
         self._session.headers["Content-Type"] = "application/json"
 
     def post(self, path: str, payload: dict) -> TransportResponse:
+        import requests  # loaded by __init__; a sys.modules lookup
+
         url = self._config.base_url.rstrip("/") + path
         try:
             resp = self._session.post(

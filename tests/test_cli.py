@@ -647,6 +647,19 @@ class TestEval:
         assert code == 2
         assert "ghost" in err
 
+    def test_repeated_label_is_a_config_error(self, capsys, synthesized_run):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        sim = RecordingTransport()
+        code, _, err = run_cli(
+            capsys, "eval", "--config", str(config), "--model", "base", "--model", "base",
+            transport_factory=lambda profile, gw: sim,
+        )
+        assert code == 2
+        assert "repeated: base" in err
+        assert sim.requests == []
+        assert not (synthesized_run / "run" / "eval").exists()
+
     def test_canned_replay_prints_the_published_percentage(self, capsys, tmp_path):
         # 1000 validation questions, 974 conversational replies: 97.4%
         conversational = (

@@ -1,10 +1,16 @@
 """Endpoint client: retries, auth handling, serialization."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -244,21 +250,105 @@ class TestApiKeys:
         monkeypatch.setenv("GW_TEST_KEY", "sk-test-123")
         assert resolve_api_key(CONFIG) == "sk-test-123"
 
-    def test_http_transport_sets_bearer_header(self, monkeypatch):
-        monkeypatch.setenv("GW_TEST_KEY", "sk-test-123")
-        transport = HttpTransport(CONFIG)
-        assert transport._session.headers["Authorization"] == "Bearer sk-test-123"
 
-    def test_connection_failure_wrapped_as_network_error(self, monkeypatch):
-        monkeypatch.setenv("GW_TEST_KEY", "sk-test-123")
-        transport = HttpTransport(CONFIG)
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    """Records each POST on the server and answers {base}/chat/completions
+    with a chat body, any other path with a plain-text 502."""
 
-        def refuse(*args, **kwargs):
-            raise requests.ConnectionError("refused")
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.seen.append((self.path, dict(self.headers), self.rfile.read(length)))
+        if self.path.endswith(CHAT_PATH):
+            status, content_type, body = 200, "application/json", json.dumps(chat_body()).encode()
+        else:
+            status, content_type, body = 502, "text/plain", b"upstream down"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        monkeypatch.setattr(transport._session, "post", refuse)
-        with pytest.raises(NetworkError, match="failed"):
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def live_env(monkeypatch):
+    """The key HttpTransport reads, and no proxy between it and 127.0.0.1."""
+    monkeypatch.setenv("GW_TEST_KEY", "sk-loop-1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # requests reads it before NO_PROXY
+
+
+def _loopback_config(port):
+    return GatewayConfig(
+        base_url=f"http://127.0.0.1:{port}/v1", api_key_env="GW_TEST_KEY", request_timeout=5.0,
+    )
+
+
+class TestHttpTransportOverLoopback:
+    def test_bearer_header_and_json_payload_arrive(self, live_env, loopback):
+        transport = HttpTransport(_loopback_config(loopback.server_port))
+        payload = {"model": "m", "messages": [{"role": "user", "content": "héllo"}]}
+        transport.post(CHAT_PATH, payload)
+        [(path, headers, raw)] = loopback.seen
+        assert path == "/v1" + CHAT_PATH
+        assert headers["Authorization"] == "Bearer sk-loop-1"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(raw) == payload
+
+    def test_json_reply_parses_into_body(self, live_env, loopback):
+        response = HttpTransport(_loopback_config(loopback.server_port)).post(CHAT_PATH, {})
+        assert response.status == 200
+        assert response.body == chat_body()
+
+    def test_non_json_reply_comes_back_as_text(self, live_env, loopback):
+        response = HttpTransport(_loopback_config(loopback.server_port)).post(EMBEDDINGS_PATH, {})
+        assert response.status == 502
+        assert response.body == "upstream down"
+
+    def test_nothing_listening_is_a_network_error(self, live_env):
+        with socket.socket() as probe:  # a port the kernel just handed out and nobody holds
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        transport = HttpTransport(_loopback_config(port))
+        with pytest.raises(NetworkError, match=f"127.0.0.1:{port}"):
             transport.post(CHAT_PATH, {})
+
+
+_IMPORT_PROBE = """
+import sys
+import convoforge.cli as cli
+from convoforge.gateway import GatewayConfig, HttpTransport
+
+assert cli.main(["synth", "--config", "configs/dryrun.yaml", "--dry-run", "--out", sys.argv[1]]) == 0
+after_dry_run = "requests" in sys.modules
+HttpTransport(GatewayConfig(base_url="http://127.0.0.1:9/v1", api_key_env="GW_TEST_KEY"))
+print(after_dry_run, "requests" in sys.modules)
+"""
+
+
+def test_requests_loads_only_with_a_live_transport(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src"), "GW_TEST_KEY": "sk-probe"}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "dry")],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False True"
 
 
 class TestBackoff:
