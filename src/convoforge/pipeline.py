@@ -15,6 +15,11 @@ Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions and file appends, so a fixed seed is bit-identical.
 
+The serial stage streams each accepted entry to a dedup.IndexWriter, a
+child process that formats the index snapshot while the run goes on; on a
+resume it first copies the old snapshot's bytes. Every exit from the run
+waits for it and renames its file over index.tsv.
+
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
 key or any other error ends the run, and no later section starts. Sections
@@ -41,7 +46,7 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 import numpy as np
 
 from . import prompts
-from .dedup import DEDUP_THRESHOLD, QuestionIndex, load_index, save_index
+from .dedup import DEDUP_THRESHOLD, IndexWriter, QuestionIndex, load_index, save_index
 from .gateway import ProtocolError, check_fields
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
@@ -458,10 +463,13 @@ def run_pipeline(
     existing outputs are extended; otherwise samples, traces and index
     are deleted first, so nothing of an earlier run is extended.
 
-    Every exit from the serial stage, an exception included, saves the
-    index, so it holds exactly the accepted samples and --resume can
-    finish the run. manifest.json is deleted at the start and written
-    only when the run finishes.
+    The index snapshot is written as samples are accepted, by an
+    IndexWriter child started once the resume state has loaded, and
+    renamed over index.tsv by save_index on every exit from the serial
+    stage, an exception included; so it holds exactly the accepted samples
+    and --resume can finish the run. A writer that fails leaves index.tsv
+    as it was and raises dedup.IndexWriterError. manifest.json is deleted
+    at the start and written only when the run finishes.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
@@ -476,16 +484,23 @@ def run_pipeline(
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
 
+    index_path = out_dir / INDEX_FILENAME
+    writer = IndexWriter(index_path, extend=index_path.exists())
     try:
         with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
                 open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
                 closing(ordered_map(work, sections, config.concurrency_limit,
                                     lambda: config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
+                # Send the entries of the sections already written, before this
+                # one is touched: an interrupt raised while the send lets the
+                # workers run still finds the three files holding the same ids.
+                writer.flush()
                 if candidate is not None:
                     sample, embedding = candidate
                     decision = index.check_and_insert(sample.sample_id, embedding)
                     if decision.accepted:
+                        writer.append(sample.sample_id, embedding)
                         samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
                         trace.outcome = "accepted"
                         trace.sample_id = sample.sample_id
@@ -496,7 +511,7 @@ def run_pipeline(
                 counts[trace.outcome] += 1
                 traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
     finally:
-        save_index(index, out_dir / INDEX_FILENAME)
+        save_index(index, index_path, writer)
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:

@@ -2,15 +2,22 @@
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import yaml
 
 import convoforge.cli as cli
 import convoforge.gateway as gateway_module
+import convoforge.pipeline as pipeline_module
 from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
 from convoforge.config import ConfigError, load_run_config
+from convoforge.dedup import IndexWriter, load_index
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 from convoforge.pipeline import PipelineConfig, ingest_corpus, read_corpus_file
 from convoforge.simulate import SimulatedModelTransport
@@ -508,6 +515,129 @@ MALFORMED_SAMPLES = [
     pytest.param(lambda record: [record["question"]], "expected a JSON object, got list",
                  id="not-an-object"),
 ]
+
+
+class KillsWriterAt(SimulatedModelTransport):
+    """Serves every post from the simulator; at post `at`, SIGKILLs the
+    last index writer in `writers`."""
+
+    def __init__(self, at, writers):
+        self.at, self.writers, self.posts = at, writers, 0
+
+    def post(self, path, payload):
+        self.posts += 1
+        if self.posts == self.at:
+            self.writers[-1]._proc.kill()
+        return super().post(path, payload)
+
+
+class TestIndexWriterFailure:
+    @pytest.mark.parametrize("failure", ["killed", "exits nonzero"])
+    def test_synth_exits_1_and_keeps_the_earlier_index(
+        self, capsys, tmp_path, monkeypatch, failure
+    ):
+        config = live_config(tmp_path)
+        healthy = SimulatedModelTransport()
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--limit", "20",
+                             transport_factory=lambda profile, gw: healthy)
+        assert code == 0
+        index = tmp_path / "run" / "index.tsv"
+        before = index.read_bytes()
+
+        writers = []
+
+        class Recorded(IndexWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(pipeline_module, "IndexWriter", Recorded)
+        transport = healthy
+        if failure == "killed":
+            transport = KillsWriterAt(30, writers)
+        else:
+            script = tmp_path / "failing_writer.py"
+            script.write_text("raise SystemExit(3)\n", encoding="utf-8")
+            monkeypatch.setattr(IndexWriter, "_SCRIPT", str(script))
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--resume",
+                               transport_factory=lambda profile, gw: transport)
+        assert code == 1
+        status = -signal.SIGKILL if failure == "killed" else 3
+        assert f"error: index writer exited with status {status}" in err
+        assert index.read_bytes() == before
+        assert not (tmp_path / "run" / "index.tsv.tmp").exists()
+        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert len(writers) == 1 and writers[0]._proc.returncode == status  # reaped
+        # The samples went on past the index, so the directory cannot resume.
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--resume",
+                               transport_factory=lambda profile, gw: healthy)
+        assert code == 3 and "cannot resume" in err
+        assert index.read_bytes() == before
+
+
+CTRL_C_SCRIPT = """
+import sys, threading, time
+from convoforge import cli
+from convoforge.simulate import SimulatedModelTransport
+
+class Slow(SimulatedModelTransport):
+    posts, lock = 0, threading.Lock()
+
+    def post(self, path, payload):
+        with Slow.lock:
+            Slow.posts += 1
+            if Slow.posts == 60:
+                print("mid-run", flush=True)
+        time.sleep(0.005)
+        return super().post(path, payload)
+
+sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Slow()))
+"""
+
+
+def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
+    """A real synth process, sent SIGINT as a terminal's Ctrl-C sends it to
+    the foreground process group, leaves the index, the samples and the
+    accepted traces holding the same ids, and --resume then writes what an
+    uninterrupted run writes."""
+    config = live_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CTRL_C_SCRIPT, "synth", "--config", str(config)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == b"mid-run\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == -signal.SIGINT, err.decode()
+    assert b"KeyboardInterrupt" in err
+
+    run_dir = tmp_path / "run"
+    assert not (run_dir / "manifest.json").exists()
+    assert not (run_dir / "index.tsv.tmp").exists()  # the writer was waited for
+    sample_ids = [r["sample_id"] for r in read_corpus_file(run_dir / "samples.jsonl")]
+    traces = read_corpus_file(run_dir / "traces.jsonl")
+    assert load_index(run_dir / "index.tsv").ids == sample_ids == [
+        t["sample_id"] for t in traces if t["outcome"] == "accepted"]
+    assert 0 < len(sample_ids) < 42
+
+    healthy = SimulatedModelTransport()
+    code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--resume",
+                         transport_factory=lambda profile, gw: healthy)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "synth", "--config", str(config),
+                         "--out", str(tmp_path / "whole"),
+                         transport_factory=lambda profile, gw: healthy)
+    assert code == 0
+    for name in ("samples.jsonl", "index.tsv", "manifest.json"):
+        assert (run_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("damage, reason", MALFORMED_SAMPLES)

@@ -2,15 +2,22 @@
 
 import hashlib
 import math
+import os
 import random
+import re
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convoforge import index_writer
 from convoforge.dedup import (
     DedupDecision,
+    IndexWriter,
     QuestionIndex,
     cosine_similarity,
     embedding_matrix,
@@ -224,6 +231,94 @@ class TestSnapshot:
         path.write_text("qa-1\t0.5 1.0\nnot a valid line\n", encoding="utf-8")
         with pytest.raises(ValueError, match="2"):
             load_index(path)
+
+
+def parent_line(sample_id: str, row: np.ndarray) -> bytes:
+    """A snapshot line as the in-process writer before the index writer
+    process formatted it."""
+    decimals = " ".join(repr(v) for v in row.tolist())
+    return f"{sample_id}\t{decimals}\n".encode("utf-8")
+
+
+def write_entries(path, ids, rows, extend=False) -> None:
+    writer = IndexWriter(path, extend=extend)
+    for sample_id, row in zip(ids, rows):
+        writer.append(sample_id, row)
+    writer.commit()
+
+
+class TestIndexWriter:
+    def varied_rows(self) -> np.ndarray:
+        """Seeded normals at scales from 1e-150 to 1e150, with every
+        row holding -0.0, the smallest subnormal, 1e-05, 1e16 and 0.1."""
+        rng = np.random.default_rng(18)
+        rows = rng.standard_normal((24, 1536)) * 10.0 ** rng.integers(-150, 151, (24, 1))
+        specials = [-0.0, 5e-324, 1e-05, 1e16, 0.1]
+        for row in rows:
+            row[rng.choice(1536, len(specials), replace=False)] = specials
+        return rows
+
+    def test_lines_match_the_repr_format_and_load_bit_exactly(self, tmp_path):
+        rows = self.varied_rows()
+        ids = [f"qa-{k}" for k in range(len(rows) - 1)] + ["qa-\u00e9t\u00e9"]
+        path = tmp_path / "index.tsv"
+        write_entries(path, ids, rows)
+        assert path.read_bytes() == b"".join(map(parent_line, ids, rows))
+        loaded = load_index(path)
+        assert loaded.ids == ids
+        assert loaded._rows[:len(ids)].tobytes() == rows.tobytes()  # -0.0 keeps its sign bit
+
+    def test_extend_copies_the_snapshot_bytes_then_appends(self, tmp_path):
+        rows = self.varied_rows()
+        ids = [f"qa-{k}" for k in range(len(rows))]
+        path = tmp_path / "index.tsv"
+        write_entries(path, ids[:10], rows[:10])
+        write_entries(path, ids[10:], rows[10:], extend=True)
+        assert path.read_bytes() == b"".join(map(parent_line, ids, rows))
+
+    def test_extend_ends_a_last_line_that_lacks_its_newline(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"a\t1.0 0.0")
+        write_entries(path, ["b"], [vec(0.0, 1.0)], extend=True)
+        assert path.read_bytes() == b"a\t1.0 0.0\nb\t0.0 1.0\n"
+
+    @pytest.mark.parametrize("failure", ["killed", "input ends inside a frame"])
+    def test_a_failed_writer_leaves_the_snapshot_as_it_was(self, tmp_path, failure):
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"a\t1.0 0.0\n")
+        writer = IndexWriter(path, extend=True)
+        writer.append("b", vec(0.0, 1.0))
+        if failure == "killed":
+            writer._proc.kill()
+        else:  # as a parent killed while it sends leaves the input
+            frame = index_writer.HEADER.pack(1, 16) + b"c" + vec(0.5, 0.5).tobytes()
+            writer._proc.stdin.write(frame[:-3])
+        status = -signal.SIGKILL if failure == "killed" else 1
+        with pytest.raises(OSError, match=rf"^index writer exited with status {status};"):
+            writer.commit()
+        assert path.read_bytes() == b"a\t1.0 0.0\n"
+        assert not Path(f"{path}.tmp").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+    def test_ignores_sigint_in_a_session_of_its_own(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        writer = IndexWriter(path)
+        pid = writer._proc.pid
+        assert os.getsid(pid) == pid
+        deadline = time.monotonic() + 10
+        while not self.ignores_sigint(pid):  # until the child has set it up
+            assert time.monotonic() < deadline, "the writer never ignored SIGINT"
+            time.sleep(0.005)
+        os.kill(pid, signal.SIGINT)
+        writer.append("a", vec(1.0, 0.0))
+        writer.commit()
+        assert path.read_bytes() == b"a\t1.0 0.0\n"
+
+    @staticmethod
+    def ignores_sigint(pid) -> bool:
+        status = Path(f"/proc/{pid}/status").read_text(encoding="ascii")
+        ignored = int(re.search(r"^SigIgn:\s*([0-9a-f]+)$", status, re.MULTILINE).group(1), 16)
+        return bool(ignored >> (signal.SIGINT - 1) & 1)
 
 
 class TestFindViolations:
