@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from . import prompts
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
-from .dedup import find_violations, load_index
+from .dedup import find_violations
 from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
@@ -45,6 +45,7 @@ from .pipeline import (
     split_dataset,
 )
 from .simulate import SimulatedModelTransport
+from .snapshot import load_index
 from .textmetrics import flesch_reading_ease
 
 logger = logging.getLogger(__name__)

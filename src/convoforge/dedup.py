@@ -11,7 +11,7 @@ search gains nothing, and exactness keeps the boundary testable.
 
 Embeddings are checked once, by embedding_matrix, where they enter:
 the gateway's reply to one batch becomes one read-only float64 (n, d)
-matrix, and load_index reads each snapshot line as a one-row matrix. The
+matrix, and snapshot.load_index reads each line as a one-row matrix. The
 index and cosine_similarity then take plain 1-D rows; the index copies
 each row into its matrix and never keeps a reference to the caller's.
 
@@ -20,27 +20,14 @@ kernel, `_similarities`, built on np.einsum rather than `@`: einsum
 reduces each row alone, on one thread, so a row's bits do not depend on
 how many rows are passed or where they start (a BLAS gemv's can). The
 scan thus never flags a pair that the index accepted.
-
-A snapshot is one line per entry: the sample id, a tab, and the row's
-values as repr decimals. A child process (index_writer.py, driven by
-IndexWriter) writes every line. synth streams each entry to it as the
-entry is accepted, so the run does not format its whole index at the end,
-and a --resume has it copy the old snapshot's bytes instead of formatting
-them again. save_index waits for it and renames its file over the
-snapshot.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
-
-from . import index_writer
 
 # Default dedup cutoff for synth and dedup-check; a cosine exactly at it passes.
 DEDUP_THRESHOLD = 0.8
@@ -157,109 +144,6 @@ class QuestionIndex:
         if decision.accepted:
             self._insert(sample_id, arr, norm)
         return decision
-
-
-class IndexWriterError(OSError):
-    """The index writer process failed; the snapshot was left as it was."""
-
-
-class IndexWriter:
-    """Streams index entries to a child process that writes path's snapshot.
-
-    The child, index_writer.py under `python -I -S`, appends one line per
-    entry to path.tmp, first copying path's bytes there when extend is
-    true. append() only buffers an entry; flush() sends what is buffered.
-    After a flush the buffer takes any frame whole, so the next append
-    makes no system call; and the buffered writer counts what a send has
-    written, so a send cut short by an interrupt is finished by commit().
-    The child runs in its own session and ignores SIGINT, so a Ctrl-C that
-    stops synth leaves it running until save_index waits for it.
-    """
-
-    _SCRIPT = index_writer.__file__
-    _BUFFER_BYTES = 1 << 20  # one frame of up to 131,072 float64 values
-
-    def __init__(self, path, extend: bool = False):
-        import subprocess  # only here: eval, export and dedup-check never load it
-
-        self.path = Path(path)
-        self._tmp = Path(f"{path}.tmp")
-        command = [sys.executable, "-I", "-S", self._SCRIPT, str(self._tmp)]
-        if extend:
-            command.append(str(self.path))
-        self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                      bufsize=self._BUFFER_BYTES, start_new_session=True)
-
-    def append(self, sample_id: str, row: np.ndarray) -> None:
-        key = sample_id.encode("utf-8")
-        data = np.asarray(row, dtype=np.float64).tobytes()
-        self._proc.stdin.write(index_writer.HEADER.pack(len(key), len(data)) + key + data)
-
-    def flush(self) -> None:
-        self._proc.stdin.flush()
-
-    def _close_input(self) -> None:
-        try:
-            self._proc.stdin.close()  # flushes first
-        except BrokenPipeError:
-            pass  # the child is gone; its exit status says why
-
-    def commit(self) -> None:
-        """Send the rest, wait for the child, and rename its file over path
-        if it exited 0; otherwise remove it and raise IndexWriterError."""
-        self._close_input()
-        status = self._proc.wait()
-        if status != 0:
-            self._tmp.unlink(missing_ok=True)
-            raise IndexWriterError(
-                f"index writer exited with status {status}; {self.path} was left as it was")
-        os.replace(self._tmp, self.path)
-
-    def discard(self) -> None:
-        """Stop the child and remove its file; path is left as it was."""
-        self._proc.kill()
-        self._proc.wait()
-        self._close_input()
-        self._tmp.unlink(missing_ok=True)
-
-
-def save_index(index: QuestionIndex, path, writer: Optional[IndexWriter] = None) -> None:
-    """Write index's snapshot to path, atomically.
-
-    `writer` is the IndexWriter for path that was sent every entry of
-    index as it was accepted; without one, a writer is started and sent
-    the whole index. Either way the snapshot appears only once the writer
-    has exited 0, so a failed save leaves the previous snapshot whole.
-    """
-    if writer is None:
-        writer = IndexWriter(path)
-        try:
-            for sample_id, row in zip(index._ids, index._rows):
-                writer.append(sample_id, row)
-        except BaseException:
-            writer.discard()
-            raise
-    writer.commit()
-
-
-def load_index(path, threshold: float = DEDUP_THRESHOLD) -> QuestionIndex:
-    """Read a save_index snapshot; errors name the file and line."""
-    index = QuestionIndex(threshold=threshold)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                sample_id, decimals = line.split("\t")
-                (row,) = embedding_matrix([decimals.split(" ")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed index line") from exc
-            try:
-                index.add_unchecked(sample_id, row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    return index
 
 
 def find_violations(index: QuestionIndex) -> list[tuple[str, str, float]]:

@@ -14,11 +14,8 @@ and a temperature and returns the reply text, and EmbedFn embeds texts.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions and file appends, so a fixed seed is bit-identical.
-
-The serial stage streams each accepted entry to a dedup.IndexWriter, a
-child process that formats the index snapshot while the run goes on; on a
-resume it first copies the old snapshot's bytes. Every exit from the run
-waits for it and renames its file over index.tsv.
+The serial stage sends each accepted entry to the index snapshot's writer
+process as it goes (see snapshot), and every exit from the run saves it.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
@@ -46,8 +43,9 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 import numpy as np
 
 from . import prompts
-from .dedup import DEDUP_THRESHOLD, IndexWriter, QuestionIndex, load_index, save_index
+from .dedup import DEDUP_THRESHOLD, QuestionIndex
 from .gateway import ProtocolError, check_fields
+from .snapshot import ID_SEPARATORS, IndexWriter, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -89,6 +87,7 @@ class QaSample:
     section_id: str
 
     def __post_init__(self):
+        check_fields(self)
         if not self.question:
             raise ValueError("question must be non-empty")
         if self.attempts_used < 1:
@@ -198,7 +197,9 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
     """Filter raw records down to usable sections, in a seeded shuffle order.
 
     Records without a usable text field are skipped with a warning, short
-    sections are dropped silently per the length floor. Two kept sections
+    sections are dropped silently per the length floor. A record's id is
+    its "id", else its "section_id", where absent, null or "" counts as
+    missing, else one made from its shuffled position. Two kept sections
     with one id would share a sample id, and a tab, LF or CR in an id would
     split its index.tsv line, so either raises ValueError. Warnings and
     errors number records from 1, in input order.
@@ -218,8 +219,9 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
         if len(text) < config.min_section_chars:
             result.excluded_short += 1
             continue
-        section_id = str(record.get("id") or record.get("section_id") or f"sec{position:06d}")
-        if any(c in section_id for c in "\t\n\r"):
+        given = [v for v in (record.get("id"), record.get("section_id")) if v not in (None, "")]
+        section_id = str(given[0]) if given else f"sec{position:06d}"
+        if any(c in section_id for c in ID_SEPARATORS):
             raise ValueError(f"corpus record {number + 1} has a tab, LF or CR in its "
                              f"section id {section_id!r}")
         if section_id in record_of_id:
@@ -462,14 +464,8 @@ def run_pipeline(
     With resume=True, previously consumed sections are skipped and
     existing outputs are extended; otherwise samples, traces and index
     are deleted first, so nothing of an earlier run is extended.
-
-    The index snapshot is written as samples are accepted, by an
-    IndexWriter child started once the resume state has loaded, and
-    renamed over index.tsv by save_index on every exit from the serial
-    stage, an exception included; so it holds exactly the accepted samples
-    and --resume can finish the run. A writer that fails leaves index.tsv
-    as it was and raises dedup.IndexWriterError. manifest.json is deleted
-    at the start and written only when the run finishes.
+    manifest.json is deleted at the start and written only when the run
+    finishes.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
@@ -484,8 +480,7 @@ def run_pipeline(
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
 
-    index_path = out_dir / INDEX_FILENAME
-    writer = IndexWriter(index_path, extend=index_path.exists())
+    writer = IndexWriter(out_dir / INDEX_FILENAME)
     try:
         with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
                 open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
@@ -511,7 +506,7 @@ def run_pipeline(
                 counts[trace.outcome] += 1
                 traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
     finally:
-        save_index(index, index_path, writer)
+        save_index(writer)
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:
@@ -520,7 +515,7 @@ def run_pipeline(
             counts["accepted"], config.target_samples,
         )
     manifest = {
-        "config": _config_echo(config),
+        "config": asdict(config),
         "counts": dict(counts),
         "consumed_sections": sum(counts.values()),
         "skipped_missing_text": ingest.skipped_missing_text,
@@ -534,12 +529,6 @@ def run_pipeline(
         fh.write("\n")
     os.replace(manifest_tmp, out_dir / MANIFEST_FILENAME)
     return manifest
-
-
-def _config_echo(config: PipelineConfig) -> dict:
-    echo = asdict(config)
-    echo["subset_sizes"] = list(config.subset_sizes)
-    return echo
 
 
 @dataclass

@@ -1,0 +1,142 @@
+"""The dedup index snapshot, index.tsv: its format, reader and writer.
+
+A snapshot holds one line per index entry: the sample id, a tab, and the
+row's float64 values as repr decimals separated by spaces, which load_index
+reads back bit-exactly. An id therefore holds none of ID_SEPARATORS.
+
+synth writes it through a child process, this module run as a script:
+
+    python -I -S snapshot.py TMP_PATH SNAPSHOT
+
+IndexWriter starts the child once the run's resume state has loaded, and
+the run sends it each entry as the entry is accepted, so the run never
+formats its whole index at the end. The child imports only the standard
+library, so it starts in tens of milliseconds and never loads numpy; this
+module's top level must stay that way. The child first copies SNAPSHOT's
+bytes into TMP_PATH when SNAPSHOT exists, ending a last line that lacks its
+newline: a --resume keeps its snapshot without formatting it again, and a
+fresh run has already deleted it. Then it appends one line per frame and
+exits 0 at the end of its input. It runs in its own session and ignores
+SIGINT, so a Ctrl-C that stops synth leaves it running until save_index,
+which every exit from the run calls, waits for it. save_index renames
+TMP_PATH over SNAPSHOT only if the child exited 0; otherwise it removes
+TMP_PATH and raises OSError, so SNAPSHOT is left as it was.
+
+A frame is a little-endian header of two uint32s, the id's UTF-8 length and
+the row's byte length, then the id and the row as float64 bytes in the
+machine's order (both processes run on one machine). Input that ends inside
+a frame is an error: the parent sends whole frames, so it died mid-send.
+"""
+
+import os
+import signal
+import struct
+import sys
+from array import array
+
+# The tab that ends an id in its line, and the line ends load_index splits on.
+ID_SEPARATORS = "\t\n\r"
+
+HEADER = struct.Struct("<II")
+_COPY_CHUNK = 1 << 20
+
+
+class IndexWriter:
+    """The parent's end of the child that writes path's snapshot.
+
+    append() only buffers an entry; flush() sends what is buffered. After a
+    flush the buffer takes any frame whole, so the next append makes no
+    system call; and the buffered writer counts what a send has written, so
+    a send cut short by an interrupt is finished by save_index.
+    """
+
+    _SCRIPT = __file__
+    _BUFFER_BYTES = 1 << 20  # one frame of up to 131,072 float64 values
+
+    def __init__(self, path):
+        import subprocess  # only here: eval, export and dedup-check never load it
+
+        self.path = os.fspath(path)
+        self._tmp = f"{self.path}.tmp"
+        self._proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", self._SCRIPT, self._tmp, self.path],
+            stdin=subprocess.PIPE, bufsize=self._BUFFER_BYTES, start_new_session=True)
+
+    def append(self, sample_id: str, row) -> None:
+        """Buffer one entry; row is a float64 row, as embedding_matrix makes."""
+        key = sample_id.encode("utf-8")
+        data = row.tobytes()
+        self._proc.stdin.write(HEADER.pack(len(key), len(data)) + key + data)
+
+    def flush(self) -> None:
+        self._proc.stdin.flush()
+
+
+def save_index(writer: IndexWriter) -> None:
+    """Send the rest, wait for writer's child, and rename its file over the
+    snapshot if it exited 0; otherwise remove that file and raise OSError."""
+    try:
+        writer._proc.stdin.close()  # flushes first
+    except BrokenPipeError:
+        pass  # the child is gone; its exit status says why
+    status = writer._proc.wait()
+    if status != 0:
+        try:
+            os.unlink(writer._tmp)
+        except FileNotFoundError:
+            pass
+        raise OSError(f"index writer exited with status {status}; "
+                      f"{writer.path} was left as it was")
+    os.replace(writer._tmp, writer.path)
+
+
+def load_index(path, threshold=None):
+    """A dedup.QuestionIndex of the snapshot at path, at threshold (None:
+    dedup.DEDUP_THRESHOLD); errors name the file and line."""
+    from .dedup import DEDUP_THRESHOLD, QuestionIndex, embedding_matrix
+
+    index = QuestionIndex(DEDUP_THRESHOLD if threshold is None else threshold)
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                sample_id, decimals = line.split("\t")
+                (row,) = embedding_matrix([decimals.split(" ")])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: malformed index line") from exc
+            try:
+                index.add_unchecked(sample_id, row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return index
+
+
+def main(argv: list) -> int:
+    # A Ctrl-C stops synth, whose exit path still waits for this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    tmp_path, snapshot_path = argv
+    frames = sys.stdin.buffer
+    with open(tmp_path, "wb") as out:
+        if os.path.exists(snapshot_path):
+            last = b"\n"
+            with open(snapshot_path, "rb") as snapshot:
+                for chunk in iter(lambda: snapshot.read(_COPY_CHUNK), b""):
+                    out.write(chunk)
+                    last = chunk[-1:]
+            if last != b"\n":
+                out.write(b"\n")
+        while header := frames.read(HEADER.size):
+            id_size, row_size = HEADER.unpack(header)  # raises on a cut header
+            body = frames.read(id_size + row_size)
+            if len(body) != id_size + row_size:
+                raise EOFError("input ended inside a frame")
+            row = array("d", body[id_size:])
+            decimals = " ".join(map(repr, row.tolist()))
+            out.write(body[:id_size] + b"\t" + decimals.encode("ascii") + b"\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -79,9 +79,10 @@ def _preceding_token(text: str, idx: int) -> str:
 
 
 def _next_visible(text: str, idx: int) -> str:
-    for ch in text[idx:]:
-        if not ch.isspace():
-            return ch
+    # By index: a slice, text[idx:], would copy the rest of the text at each mark.
+    for i in range(idx, len(text)):
+        if not text[i].isspace():
+            return text[i]
     return ""
 
 

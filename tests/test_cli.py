@@ -17,10 +17,10 @@ import convoforge.gateway as gateway_module
 import convoforge.pipeline as pipeline_module
 from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
 from convoforge.config import ConfigError, load_run_config
-from convoforge.dedup import IndexWriter, load_index
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 from convoforge.pipeline import PipelineConfig, ingest_corpus, read_corpus_file
 from convoforge.simulate import SimulatedModelTransport
+from convoforge.snapshot import IndexWriter, load_index
 
 
 def run_cli(capsys, *argv, transport_factory=None):
@@ -514,6 +514,12 @@ MALFORMED_SAMPLES = [
                  "missing key 'question'", id="missing-key"),
     pytest.param(lambda record: [record["question"]], "expected a JSON object, got list",
                  id="not-an-object"),
+    pytest.param(lambda record: {**record, "question": 5},
+                 "question must be of type str, got 5", id="str-field"),
+    pytest.param(lambda record: {**record, "flesch_score": "high"},
+                 "flesch_score must be of type float, got 'high'", id="float-field"),
+    pytest.param(lambda record: {**record, "attempts_used": "2"},
+                 "attempts_used must be of type int, got '2'", id="int-field"),
 ]
 
 
@@ -909,6 +915,24 @@ class TestExport:
         code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "7")
         assert code == 3
         assert "[5, 20]" in err
+
+    def test_a_question_that_is_not_text_fails_before_the_file_is_written(
+        self, capsys, synthesized_run
+    ):
+        # It would reach the fine-tune file as {"role": "user", "content": 5}.
+        samples = synthesized_run / "run" / "samples.jsonl"
+        lines = samples.read_text("utf-8").splitlines(keepends=True)
+        lines[6] = json.dumps({**json.loads(lines[6]), "question": 5}) + "\n"
+        samples.write_text("".join(lines), encoding="utf-8")
+        config = self.export_config(synthesized_run)
+        out_path = synthesized_run / "train-20.jsonl"
+        code, _, err = run_cli(
+            capsys, "export", "--config", str(config), "--size", "20",
+            "--out", str(out_path),
+        )
+        assert code == 3
+        assert f"{samples}:7: not a sample record: question must be of type str, got 5" in err
+        assert not out_path.exists()
 
     def test_unknown_prompt_preset(self, capsys, synthesized_run):
         config = self.export_config(synthesized_run)

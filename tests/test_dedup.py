@@ -6,6 +6,8 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,17 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convoforge import index_writer
+from convoforge import snapshot
 from convoforge.dedup import (
     DedupDecision,
-    IndexWriter,
     QuestionIndex,
     cosine_similarity,
     embedding_matrix,
     find_violations,
-    load_index,
-    save_index,
 )
+from convoforge.snapshot import IndexWriter, load_index, save_index
 
 
 def vec(*values) -> np.ndarray:
@@ -110,10 +110,10 @@ class TestEmbeddingMatrix:
         index.check_and_insert("a", source)
         index.add_unchecked("b", vec(0, 1, 0))
         before = tmp_path / "before.tsv"
-        save_index(index, before)
+        write_index(before, index)
         source[:] = [0.0, 1.0, 0.0]  # would now duplicate "b"
         after = tmp_path / "after.tsv"
-        save_index(index, after)
+        write_index(after, index)
         assert after.read_bytes() == before.read_bytes()
         assert find_violations(index) == []
 
@@ -201,16 +201,16 @@ class TestSnapshot:
         for i in range(25):
             index.add_unchecked(f"id-{i}", vec(*(rng.uniform(-1, 1) for _ in range(12))))
         path = tmp_path / "index.tsv"
-        save_index(index, path)
+        write_index(path, index)
         again = tmp_path / "again.tsv"
-        save_index(load_index(path, threshold=0.8), again)
+        write_index(again, load_index(path, threshold=0.8))
         assert again.read_bytes() == path.read_bytes()  # repr round-trip: bit-identical
 
     def test_snapshot_format(self, tmp_path):
         index = QuestionIndex()
         index.add_unchecked("qa-1", vec(0.5, -1.25))
         path = tmp_path / "index.tsv"
-        save_index(index, path)
+        write_index(path, index)
         assert path.read_text(encoding="utf-8") == "qa-1\t0.5 -1.25\n"
 
     @pytest.mark.parametrize("text, message", [
@@ -240,11 +240,16 @@ def parent_line(sample_id: str, row: np.ndarray) -> bytes:
     return f"{sample_id}\t{decimals}\n".encode("utf-8")
 
 
-def write_entries(path, ids, rows, extend=False) -> None:
-    writer = IndexWriter(path, extend=extend)
+def write_entries(path, ids, rows) -> None:
+    """Append the entries to path's snapshot, as synth does."""
+    writer = IndexWriter(path)
     for sample_id, row in zip(ids, rows):
         writer.append(sample_id, row)
-    writer.commit()
+    save_index(writer)
+
+
+def write_index(path, index: QuestionIndex) -> None:
+    write_entries(path, index.ids, index._rows)
 
 
 class TestIndexWriter:
@@ -273,29 +278,29 @@ class TestIndexWriter:
         ids = [f"qa-{k}" for k in range(len(rows))]
         path = tmp_path / "index.tsv"
         write_entries(path, ids[:10], rows[:10])
-        write_entries(path, ids[10:], rows[10:], extend=True)
+        write_entries(path, ids[10:], rows[10:])
         assert path.read_bytes() == b"".join(map(parent_line, ids, rows))
 
     def test_extend_ends_a_last_line_that_lacks_its_newline(self, tmp_path):
         path = tmp_path / "index.tsv"
         path.write_bytes(b"a\t1.0 0.0")
-        write_entries(path, ["b"], [vec(0.0, 1.0)], extend=True)
+        write_entries(path, ["b"], [vec(0.0, 1.0)])
         assert path.read_bytes() == b"a\t1.0 0.0\nb\t0.0 1.0\n"
 
     @pytest.mark.parametrize("failure", ["killed", "input ends inside a frame"])
     def test_a_failed_writer_leaves_the_snapshot_as_it_was(self, tmp_path, failure):
         path = tmp_path / "index.tsv"
         path.write_bytes(b"a\t1.0 0.0\n")
-        writer = IndexWriter(path, extend=True)
+        writer = IndexWriter(path)
         writer.append("b", vec(0.0, 1.0))
         if failure == "killed":
             writer._proc.kill()
         else:  # as a parent killed while it sends leaves the input
-            frame = index_writer.HEADER.pack(1, 16) + b"c" + vec(0.5, 0.5).tobytes()
+            frame = snapshot.HEADER.pack(1, 16) + b"c" + vec(0.5, 0.5).tobytes()
             writer._proc.stdin.write(frame[:-3])
         status = -signal.SIGKILL if failure == "killed" else 1
         with pytest.raises(OSError, match=rf"^index writer exited with status {status};"):
-            writer.commit()
+            save_index(writer)
         assert path.read_bytes() == b"a\t1.0 0.0\n"
         assert not Path(f"{path}.tmp").exists()
 
@@ -311,8 +316,22 @@ class TestIndexWriter:
             time.sleep(0.005)
         os.kill(pid, signal.SIGINT)
         writer.append("a", vec(1.0, 0.0))
-        writer.commit()
+        save_index(writer)
         assert path.read_bytes() == b"a\t1.0 0.0\n"
+
+    def test_the_child_imports_only_the_standard_library(self, tmp_path):
+        # Neither numpy nor the package: the writer starts in about 30 ms.
+        tmp = tmp_path / "index.tsv.tmp"
+        child = subprocess.run(
+            [sys.executable, "-I", "-S", "-X", "importtime", snapshot.__file__,
+             str(tmp), str(tmp_path / "missing.tsv")],
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert tmp.read_bytes() == b""
+        imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.decode().splitlines()}
+        assert "struct" in imported  # the log lists what the child imported
+        assert not [name for name in imported if name.split(".")[0] in ("numpy", "convoforge")]
 
     @staticmethod
     def ignores_sigint(pid) -> bool:

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import QA_SECTION_RE
-from convoforge.dedup import find_violations, load_index
+from convoforge.dedup import find_violations
 from convoforge.gateway import NetworkError, ProtocolError
 from convoforge.pipeline import (
     _AHEAD,
@@ -29,6 +29,7 @@ from convoforge.pipeline import (
     split_dataset,
 )
 from convoforge.prompts import CONCISE_FINETUNE_PROMPT
+from convoforge.snapshot import load_index
 from convoforge.textmetrics import flesch_reading_ease
 
 EASY_TEXT = (
@@ -131,10 +132,15 @@ class TestIngest:
         assert order_1 != order_3
         assert sorted(order_1) == sorted(order_3)
 
-    def test_fallback_ids_from_position(self):
-        records = [{"text": "x" * 700}]
+    @pytest.mark.parametrize("ids", [{}, {"id": None}, {"id": ""}, {"id": "", "section_id": None}])
+    def test_fallback_ids_from_position(self, ids):
+        records = [{**ids, "text": "x" * 700}]
         result = ingest_corpus(records, PipelineConfig())
         assert result.sections[0].section_id == "sec000000"
+
+    def test_ids_0_and_7_are_kept(self):
+        records = [{"id": 0, "text": "x" * 700}, {"id": 7, "text": "y" * 700}]
+        assert sorted(shuffled_ids(records)) == ["0", "7"]
 
     def test_duplicate_id_names_both_records(self):
         records = [{"id": "a", "text": "x" * 700}, {"id": "b", "text": "y" * 700},
@@ -256,7 +262,8 @@ class TestRunPipeline:
         manifest = run_pipeline(
             PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path
         )
-        assert manifest == golden_manifest
+        # The returned manifest holds asdict(config), whose subset_sizes is a tuple.
+        assert json.loads(json.dumps(manifest)) == golden_manifest
         on_disk = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert on_disk == golden_manifest
 

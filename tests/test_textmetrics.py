@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from convoforge.textmetrics import (
     TextStats,
     UnscorableTextError,
+    _next_visible,
     _parts_syllables,
     flesch_reading_ease,
     is_conversational,
@@ -222,3 +223,26 @@ def test_score_depends_on_ratios_not_length(n):
 ]))
 def test_scoring_is_deterministic(text):
     assert flesch_reading_ease(text) == flesch_reading_ease(text)
+
+
+def next_visible_by_slice(text: str, idx: int) -> str:
+    """The reference: the first non-space character of text[idx:]."""
+    for ch in text[idx:]:
+        if not ch.isspace():
+            return ch
+    return ""
+
+
+# Every Unicode space str.isspace accepts, with a zero-width space and
+# letters, digits, quotes and terminal marks that are not spaces.
+SPACES_AND_MARKS = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+    "\u200baZ9.!?\"'\u2019"
+)
+
+
+@given(st.text(st.one_of(st.sampled_from(SPACES_AND_MARKS), st.characters()), max_size=40))
+def test_next_visible_matches_the_slicing_scan(text):
+    for idx in range(len(text) + 2):
+        assert _next_visible(text, idx) == next_visible_by_slice(text, idx)
