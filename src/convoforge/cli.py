@@ -13,9 +13,10 @@ call as a missing response.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +44,7 @@ from .pipeline import (
     read_corpus_file,
     run_pipeline,
     split_dataset,
+    write_atomic,
 )
 from .simulate import SimulatedModelTransport
 from .snapshot import load_index
@@ -55,6 +57,9 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NETWORK = 4
+
+# export writes the validation split beside the fine-tuning file.
+VALIDATION_FILENAME = "validation.jsonl"
 
 # Tests inject transports here: factory(profile_name, gateway_config).
 TransportFactory = Callable[[str, GatewayConfig], Transport]
@@ -98,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also compute semantic similarity (costs embedding calls)")
     p_eval.add_argument("--out", help="report directory (default <output_dir>/eval)")
 
-    p_export = add("export", "write a fine-tuning file for one training subset")
+    p_export = add("export", "write one training subset's fine-tuning file, and "
+                             "the validation split beside it as validation.jsonl")
     p_export.add_argument("--config", required=True)
     p_export.add_argument("--dataset", help="samples file (default <output_dir>/samples.jsonl)")
     p_export.add_argument("--size", type=int, required=True, help="training subset size")
@@ -273,8 +279,14 @@ def cmd_export(args) -> int:
         raise ConfigError(str(exc)) from exc
     splits = split_dataset(samples, cfg.pipeline)
     out = Path(args.out) if args.out else Path(cfg.paths.output_dir) / f"finetune-{args.size}.jsonl"
+    if out.name == VALIDATION_FILENAME:
+        raise ValueError(f"--out {out} would be overwritten by the validation split")
     count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
+    validation = out.parent / VALIDATION_FILENAME
+    write_atomic(validation, (json.dumps(asdict(s), ensure_ascii=False) + "\n"
+                              for s in splits.validation))
     print(f"wrote {count} records to {out}")
+    print(f"wrote {len(splits.validation)} validation records to {validation}")
     return EXIT_OK
 
 

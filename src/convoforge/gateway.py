@@ -174,8 +174,10 @@ class HttpTransport:
 
 
 def _excerpt(body: object, limit: int = 200) -> str:
-    text = body if isinstance(body, str) else json.dumps(body, ensure_ascii=False)
-    return text[:limit]
+    """The start of a reply body, non-ASCII escaped, so a message quoting it
+    always encodes (a lone surrogate from a JSON escape included)."""
+    text = body if isinstance(body, str) else json.dumps(body)
+    return text[:limit].encode("ascii", "backslashreplace").decode("ascii")
 
 
 def backoff_delay(config: GatewayConfig, retry_number: int, rng: Callable[[], float]) -> float:

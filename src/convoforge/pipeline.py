@@ -13,9 +13,10 @@ the wire's {"role", "content"} messages (one user turn per synthesis call)
 and a temperature and returns the reply text, and EmbedFn embeds texts.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
-stage of dedup decisions and file appends, so a fixed seed is bit-identical.
-The serial stage sends each accepted entry to the index snapshot's writer
-process as it goes (see snapshot), and every exit from the run saves it.
+stage of dedup decisions, so a fixed seed is bit-identical. That stage sends
+accepted entries to the index snapshot's writer (see snapshot) and appends
+each section to traces.jsonl, the one commit log, whose accepted lines carry
+their samples. Every exit saves the index and rebuilds samples.jsonl from it.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
@@ -93,9 +94,6 @@ class QaSample:
         if self.attempts_used < 1:
             raise ValueError("attempts_used must be >= 1")
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_record(cls, record: Mapping) -> "QaSample":
         if not isinstance(record, Mapping):
@@ -156,15 +154,12 @@ class GenerationTrace:
     section_id: str
     outcome: str
     attempt_scores: list[float] = field(default_factory=list)
-    sample_id: Optional[str] = None
+    sample: Optional[QaSample] = None  # set on accepted traces only
     nearest_id: Optional[str] = None
     nearest_similarity: Optional[float] = None
     error: Optional[str] = None
     started_at: Optional[str] = None
     finished_at: Optional[str] = None
-
-    def to_record(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -200,9 +195,10 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
     sections are dropped silently per the length floor. A record's id is
     its "id", else its "section_id", where absent, null or "" counts as
     missing, else one made from its shuffled position. Two kept sections
-    with one id would share a sample id, and a tab, LF or CR in an id would
-    split its index.tsv line, so either raises ValueError. Warnings and
-    errors number records from 1, in input order.
+    with one id would share a sample id, a tab, LF or CR in an id would
+    split its index.tsv line, and an id that UTF-8 cannot encode could not
+    be written at all, so each raises ValueError. Warnings and errors number
+    records from 1, in input order.
     """
     materialized = list(records)
     order = list(range(len(materialized)))
@@ -224,6 +220,9 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
         if any(c in section_id for c in ID_SEPARATORS):
             raise ValueError(f"corpus record {number + 1} has a tab, LF or CR in its "
                              f"section id {section_id!r}")
+        if not _encodes(section_id):
+            raise ValueError(f"corpus record {number + 1} has a section id that UTF-8 "
+                             f"cannot encode: {section_id!r}")
         if section_id in record_of_id:
             first, second = sorted((record_of_id[section_id], number))
             raise ValueError(f"corpus records {first + 1} and {second + 1} share the "
@@ -231,6 +230,16 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
         record_of_id[section_id] = number
         result.sections.append(CorpusSection(section_id=section_id, text=text))
     return result
+
+
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode text; a lone surrogate, which json decodes
+    from an escape such as "\\ud800", cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _parse_qa_payload(raw: str) -> Optional[tuple[str, str]]:
@@ -318,7 +327,8 @@ def _process_section(
     settles a candidate's outcome with the dedup decision.
 
     A bad reply (QaParseError, ProtocolError, UnscorableTextError) ends
-    only this section, as a generation_error. Anything else, such as a
+    only this section, as a generation_error; so does a sample text that
+    UTF-8 cannot encode, which the log could not hold. Anything else, such as a
     NetworkError after the gateway's retries, propagates and ends the run
     before this section is consumed.
     """
@@ -335,6 +345,9 @@ def _process_section(
         if simplified is None:
             trace.outcome = "discarded_readability"
         else:
+            for text in (question, answer_original, simplified):
+                if not _encodes(text):
+                    raise ProtocolError(f"reply text that UTF-8 cannot encode: {text[:200]!r}")
             sample = QaSample(
                 sample_id=f"qa-{section.section_id}",
                 question=question,
@@ -401,17 +414,23 @@ def load_samples(path) -> list[QaSample]:
     return samples
 
 
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write chunks to path atomically, through path.tmp and os.replace."""
+    with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+    os.replace(f"{path}.tmp", path)
+
+
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
     """The consumed section ids, outcome counts and index on disk.
 
-    Refuses (ValueError naming path:line) a line that is not a valid sample
-    or trace; a trace needs one of OUTCOMES and a section no other trace has.
-    Refuses (ValueError) unless the index, samples.jsonl and the accepted
-    traces list the same sample ids in the same order, as every exit that
-    runs run_pipeline's finally leaves them; a SIGKILL can leave them apart.
+    Reads samples from the log, never from samples.jsonl. Refuses (ValueError
+    naming path:line) a line that is not a valid trace: one of OUTCOMES, a
+    section no other trace has, and if accepted a valid sample. Refuses
+    (ValueError) unless the index and the accepted samples list the same ids
+    in the same order, as every exit that runs run_pipeline's finally leaves
+    them; a SIGKILL can leave them apart.
     """
-    samples_path = out_dir / SAMPLES_FILENAME
-    sample_ids = [s.sample_id for s in load_samples(samples_path)] if samples_path.exists() else []
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
     accepted_ids = []
@@ -426,7 +445,7 @@ def _load_resume_state(out_dir: Path, config: PipelineConfig):
                     raise ValueError(f"section id {section_id!r} repeats an earlier trace")
                 consumed.add(section_id)
                 if outcome == "accepted":
-                    accepted_ids.append(record["sample_id"])
+                    accepted_ids.append(QaSample.from_record(record["sample"]).sample_id)
             except (TypeError, KeyError, ValueError) as exc:
                 reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{traces_path}:{line_no}: not a trace record: {reason}") from exc
@@ -436,11 +455,11 @@ def _load_resume_state(out_dir: Path, config: PipelineConfig):
         index = load_index(index_path, threshold=config.dedup_threshold)
     else:
         index = QuestionIndex(threshold=config.dedup_threshold)
-    if not index.ids == sample_ids == accepted_ids:
+    if index.ids != accepted_ids:
         raise ValueError(
-            f"{out_dir}: cannot resume: {INDEX_FILENAME} holds {len(index)} ids, "
-            f"{SAMPLES_FILENAME} {len(sample_ids)} and the accepted traces "
-            f"{len(accepted_ids)}, and they must be the same ids in the same order"
+            f"{out_dir}: cannot resume: {INDEX_FILENAME} holds {len(index)} ids and "
+            f"{TRACES_FILENAME} {len(accepted_ids)} accepted samples, and they must be "
+            f"the same ids in the same order"
         )
     return consumed, counts, index
 
@@ -458,14 +477,13 @@ def run_pipeline(
 ) -> dict:
     """Drive the full synthesis loop, persist its artifacts, return the manifest.
 
-    Writes samples.jsonl, traces.jsonl, manifest.json, and the dedup
+    Writes traces.jsonl, samples.jsonl, manifest.json, and the dedup
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
-    With resume=True, previously consumed sections are skipped and
-    existing outputs are extended; otherwise samples, traces and index
-    are deleted first, so nothing of an earlier run is extended.
-    manifest.json is deleted at the start and written only when the run
-    finishes.
+    With resume=True, consumed sections are skipped and the log and index
+    are extended; otherwise samples, traces and index are deleted first.
+    Every exit after that rewrites samples.jsonl from the log, and only a
+    finished run writes manifest.json, which every run first deletes.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
@@ -482,31 +500,35 @@ def run_pipeline(
 
     writer = IndexWriter(out_dir / INDEX_FILENAME)
     try:
-        with open(out_dir / SAMPLES_FILENAME, "a", encoding="utf-8") as samples_fh, \
-                open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
+        with open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
                 closing(ordered_map(work, sections, config.concurrency_limit,
                                     lambda: config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
-                # Send the entries of the sections already written, before this
+                # Send the entries of the sections already logged, before this
                 # one is touched: an interrupt raised while the send lets the
-                # workers run still finds the three files holding the same ids.
+                # workers run still finds the index and the log in agreement.
                 writer.flush()
                 if candidate is not None:
                     sample, embedding = candidate
                     decision = index.check_and_insert(sample.sample_id, embedding)
                     if decision.accepted:
                         writer.append(sample.sample_id, embedding)
-                        samples_fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
                         trace.outcome = "accepted"
-                        trace.sample_id = sample.sample_id
+                        trace.sample = sample
                     else:
                         trace.outcome = "rejected_duplicate"
                         trace.nearest_id = decision.nearest_id
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
-                traces_fh.write(json.dumps(trace.to_record(), ensure_ascii=False) + "\n")
+                traces_fh.write(json.dumps(asdict(trace), ensure_ascii=False) + "\n")
     finally:
-        save_index(writer)
+        try:
+            save_index(writer)
+        finally:  # samples.jsonl is the log's accepted samples
+            log = (r for _, r in _numbered_records(out_dir / TRACES_FILENAME))
+            samples = (json.dumps(r["sample"], ensure_ascii=False) + "\n"
+                       for r in log if r["outcome"] == "accepted")
+            write_atomic(out_dir / SAMPLES_FILENAME, samples)
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:
@@ -523,11 +545,7 @@ def run_pipeline(
         "sample_count": counts["accepted"],
         "shortfall": shortfall,
     }
-    manifest_tmp = out_dir / (MANIFEST_FILENAME + ".tmp")
-    with open(manifest_tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(manifest_tmp, out_dir / MANIFEST_FILENAME)
+    write_atomic(out_dir / MANIFEST_FILENAME, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return manifest
 
 

@@ -266,9 +266,14 @@ class TestSynthErrors:
         assert "corpus records 1 and 51 share the section id 'sec-ok-001'" in err
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
-    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("char, reason", [
+        pytest.param("\t", "has a tab, LF or CR in its section id", id="tab"),
+        pytest.param("\n", "has a tab, LF or CR in its section id", id="lf"),
+        pytest.param("\r", "has a tab, LF or CR in its section id", id="cr"),
+        pytest.param("\ud800", "has a section id that UTF-8 cannot encode", id="surrogate"),
+    ])
     def test_corpus_id_that_would_split_an_index_line_leaves_a_finished_run_untouched(
-        self, capsys, synthesized_run, char
+        self, capsys, synthesized_run, char, reason
     ):
         run_dir = synthesized_run / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
@@ -281,7 +286,27 @@ class TestSynthErrors:
             str(DATA_DIR / "corpus_50.jsonl"), str(corpus)), encoding="utf-8")
         code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
         assert code == 3
-        assert "corpus record 1 has a tab, LF or CR in its section id" in err
+        assert f"corpus record 1 {reason}" in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+    @pytest.mark.parametrize("where", ["qa-escape", "simplified-raw"])
+    def test_reply_that_utf8_cannot_encode_is_a_generation_error(self, capsys, tmp_path, where):
+        config = live_config(tmp_path)
+        code, out, _ = run_cli(capsys, "synth", "--config", str(config),
+                               transport_factory=lambda profile, gw: SurrogateFor(where))
+        assert code == 0
+        assert "accepted: 41" in out
+        run_dir = tmp_path / "run"
+        (trace,) = [t for t in read_corpus_file(run_dir / "traces.jsonl")
+                    if t["section_id"] == SurrogateFor.SECTION]
+        assert trace["outcome"] == "generation_error"
+        assert trace["error"].startswith("reply text that UTF-8 cannot encode: ")
+        code, _, _ = run_cli(capsys, "dedup-check", "--index", str(run_dir / "index.tsv"))
+        assert code == 0
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--resume",
+                             transport_factory=lambda profile, gw: SimulatedModelTransport())
+        assert code == 0
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
     def test_negative_limit_leaves_a_finished_run_untouched(self, capsys, synthesized_run):
@@ -425,6 +450,27 @@ class OutageFrom(SimulatedModelTransport):
         return TransportResponse(status=503, body={"error": "service unavailable"})
 
 
+class SurrogateFor(SimulatedModelTransport):
+    """Serves every post from the simulator, but puts a lone surrogate in one
+    section's sample: as a JSON escape in the question of its QA object, or
+    raw at the end of its simplified answer."""
+
+    SECTION = "sec-ok-001"
+
+    def __init__(self, where):
+        self.where = where
+
+    def post(self, path, payload):
+        response = super().post(path, payload)
+        prompt = payload["messages"][-1]["content"] if path == CHAT_PATH else ""
+        message = response.body["choices"][0]["message"] if prompt else {}
+        if self.where == "qa-escape" and f"Section {self.SECTION}." in prompt:
+            message["content"] = message["content"].replace('describe?"', 'describe?\\ud800"')
+        elif self.where == "simplified-raw" and f"record about {self.SECTION} " in prompt:
+            message["content"] += " \ud800"
+        return response
+
+
 def live_config(tmp_path):
     """Synth against the `sim` gateway, one call in flight, one retry at once."""
     path = tmp_path / "live.yaml"
@@ -494,7 +540,7 @@ class TestResume:
                                "--resume")
         assert code == 3
         held = 0 if damage == "deleted" else 41
-        assert f"index.tsv holds {held} ids, samples.jsonl 42 and the accepted traces 42" in err
+        assert f"index.tsv holds {held} ids and traces.jsonl 42 accepted samples" in err
         assert {name: path.read_bytes() for name in ARTIFACTS
                 if (path := run_dir / name).exists()} == before
 
@@ -506,9 +552,26 @@ class TestResume:
         assert code == 0
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "garbage line"])
+    def test_resume_rewrites_samples_from_the_log(self, capsys, synthesized_run, damage):
+        run_dir = synthesized_run / "run"
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        samples = run_dir / "samples.jsonl"
+        if damage == "deleted":
+            samples.unlink()
+        elif damage == "truncated":
+            samples.write_bytes(before["samples.jsonl"][:1000])
+        else:
+            samples.write_bytes(before["samples.jsonl"] + b"{not json\n")
+        config = write_dryrun_config(synthesized_run)
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+        assert not (run_dir / "samples.jsonl.tmp").exists()
 
-# Each case: a samples.jsonl line that is not a sample record, and the
-# reason its error must give after path:line.
+
+# Each case: a sample record made into one that is not, and the reason its
+# error must give after path:line.
 MALFORMED_SAMPLES = [
     pytest.param(lambda record: {k: v for k, v in record.items() if k != "question"},
                  "missing key 'question'", id="missing-key"),
@@ -574,7 +637,11 @@ class TestIndexWriterFailure:
         assert not (tmp_path / "run" / "index.tsv.tmp").exists()
         assert not (tmp_path / "run" / "manifest.json").exists()
         assert len(writers) == 1 and writers[0]._proc.returncode == status  # reaped
-        # The samples went on past the index, so the directory cannot resume.
+        # samples.jsonl is rebuilt from the log although the index save raised.
+        traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
+        assert read_corpus_file(tmp_path / "run" / "samples.jsonl") == [
+            t["sample"] for t in traces if t["outcome"] == "accepted"]
+        # The log went on past the index, so the directory cannot resume.
         code, _, err = run_cli(capsys, "synth", "--config", str(config), "--resume",
                                transport_factory=lambda profile, gw: healthy)
         assert code == 3 and "cannot resume" in err
@@ -603,9 +670,9 @@ sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Slow()))
 
 def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
     """A real synth process, sent SIGINT as a terminal's Ctrl-C sends it to
-    the foreground process group, leaves the index, the samples and the
-    accepted traces holding the same ids, and --resume then writes what an
-    uninterrupted run writes."""
+    the foreground process group, leaves samples.jsonl holding the log's
+    accepted samples and the index their ids, and --resume then writes what
+    an uninterrupted run writes."""
     config = live_config(tmp_path)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -628,11 +695,11 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
     run_dir = tmp_path / "run"
     assert not (run_dir / "manifest.json").exists()
     assert not (run_dir / "index.tsv.tmp").exists()  # the writer was waited for
-    sample_ids = [r["sample_id"] for r in read_corpus_file(run_dir / "samples.jsonl")]
     traces = read_corpus_file(run_dir / "traces.jsonl")
-    assert load_index(run_dir / "index.tsv").ids == sample_ids == [
-        t["sample_id"] for t in traces if t["outcome"] == "accepted"]
-    assert 0 < len(sample_ids) < 42
+    samples = [t["sample"] for t in traces if t["outcome"] == "accepted"]
+    assert read_corpus_file(run_dir / "samples.jsonl") == samples
+    assert load_index(run_dir / "index.tsv").ids == [s["sample_id"] for s in samples]
+    assert 0 < len(samples) < 42
 
     healthy = SimulatedModelTransport()
     code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--resume",
@@ -647,7 +714,7 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("damage, reason", MALFORMED_SAMPLES)
-@pytest.mark.parametrize("command", ["export", "eval", "resume"])
+@pytest.mark.parametrize("command", ["export", "eval"])
 def test_malformed_samples_line_exits_3_naming_path_and_line(
     capsys, synthesized_run, damage, reason, command
 ):
@@ -660,16 +727,34 @@ def test_malformed_samples_line_exits_3_naming_path_and_line(
     config = str(write_dryrun_config(synthesized_run))
     if command == "export":
         argv = ["export", "--config", config, "--size", "100"]
-    elif command == "eval":
+    else:
         eval_config = synthesized_run / "eval.yaml"
         eval_config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
         argv = ["eval", "--config", str(eval_config)]
-    else:
-        argv = ["synth", "--config", config, "--dry-run", "--resume"]
     code, _, err = run_cli(capsys, *argv,
                            transport_factory=lambda profile, gw: SimulatedModelTransport())
     assert code == 3
     assert f"{samples}:7: not a sample record: {reason}" in err
+    assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
+
+@pytest.mark.parametrize("damage, reason", MALFORMED_SAMPLES)
+def test_malformed_sample_in_the_log_fails_resume_with_exit_3(
+    capsys, synthesized_run, damage, reason
+):
+    run_dir = synthesized_run / "run"
+    traces = run_dir / "traces.jsonl"
+    lines = traces.read_text("utf-8").splitlines(keepends=True)
+    line_no = [json.loads(line)["outcome"] for line in lines].index("accepted", 6) + 1
+    record = json.loads(lines[line_no - 1])
+    record["sample"] = damage(record["sample"])
+    lines[line_no - 1] = json.dumps(record) + "\n"
+    traces.write_text("".join(lines), encoding="utf-8")
+    before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+    config = write_dryrun_config(synthesized_run)
+    code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+    assert code == 3
+    assert f"{traces}:{line_no}: not a trace record: {reason}" in err
     assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
@@ -932,6 +1017,67 @@ class TestExport:
         )
         assert code == 3
         assert f"{samples}:7: not a sample record: question must be of type str, got 5" in err
+        assert not out_path.exists()
+
+    def test_every_size_writes_one_validation_split_beside_its_file(self, capsys, tmp_path):
+        dataset = tmp_path / "samples.jsonl"
+        dataset.write_text("".join(json.dumps({
+            "sample_id": f"qa-{i}", "question": f"Question {i}?", "answer_original": "o",
+            "answer_simplified": "s", "flesch_score": 90.0, "attempts_used": 1,
+            "section_id": f"sec-{i}",
+        }) + "\n" for i in range(1100)), encoding="utf-8")
+        config = tmp_path / "export.yaml"
+        config.write_text(
+            "pipeline:\n"
+            "  target_samples: 1100\n"
+            "  validation_size: 50\n"
+            "  subset_sizes: [100, 1000]\n",
+            encoding="utf-8",
+        )
+        written = {}
+        for size in (100, 1000):
+            out_path = tmp_path / str(size) / "finetune.jsonl"
+            code, out, _ = run_cli(capsys, "export", "--config", str(config), "--dataset",
+                                   str(dataset), "--size", str(size), "--out", str(out_path))
+            assert code == 0
+            validation = out_path.parent / "validation.jsonl"
+            assert f"wrote 50 validation records to {validation}" in out
+            written[size] = validation.read_bytes()
+            held_out = {r["question"] for r in read_corpus_file(validation)}
+            trained = [json.loads(line)["messages"][1]["content"]
+                       for line in out_path.read_text("utf-8").splitlines()]
+            assert len(held_out) == 50 and len(trained) == size
+            assert held_out.isdisjoint(trained)
+        assert written[100] == written[1000]
+        assert set(written[100].splitlines(keepends=True)) <= set(
+            dataset.read_bytes().splitlines(keepends=True))
+
+    def test_eval_reads_the_validation_split_at_the_default_path(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        config = synthesized_run / "eval.yaml"
+        config.write_text(
+            eval_config_text(synthesized_run)
+            .replace("pipeline:\n", "pipeline:\n  target_samples: 42\n  validation_size: 10\n"
+                                    "  subset_sizes: [5, 20]\n")
+            .replace(f"validation: {run_dir / 'samples.jsonl'}",
+                     f"validation: {run_dir / 'validation.jsonl'}"),
+            encoding="utf-8",
+        )
+        code, _, _ = run_cli(capsys, "export", "--config", str(config), "--size", "5")
+        assert code == 0
+        assert (run_dir / "finetune-5.jsonl").exists()
+        code, out, _ = run_cli(capsys, "eval", "--config", str(config),
+                               transport_factory=lambda profile, gw: SimulatedModelTransport())
+        assert code == 0
+        assert "(10 samples)" in out
+
+    def test_out_named_like_the_validation_split_is_refused(self, capsys, synthesized_run):
+        config = self.export_config(synthesized_run)
+        out_path = synthesized_run / "validation.jsonl"
+        code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "5",
+                               "--out", str(out_path))
+        assert code == 3
+        assert "would be overwritten by the validation split" in err
         assert not out_path.exists()
 
     def test_unknown_prompt_preset(self, capsys, synthesized_run):

@@ -106,6 +106,17 @@ class TestCompleteChat:
         with pytest.raises(ProtocolError, match="malformed completion body"):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
+    @pytest.mark.parametrize("body", [
+        "bad \ud800 route é", {"error": "bad \ud800 route é"},
+    ], ids=["text", "json"])
+    def test_error_message_escapes_what_utf8_cannot_encode(self, body):
+        # Such a message can end up in traces.jsonl, which is UTF-8.
+        transport = ScriptedTransport([{"status": 400, "body": body}])
+        with pytest.raises(ProtocolError) as raised:
+            chat_once(CONFIG, transport, sleep=NO_SLEEP)
+        message = str(raised.value)
+        assert "\\ud800" in message and message.isascii()
+
     def test_non_text_content_rejected(self):
         body = {"choices": [{"message": {"role": "assistant", "content": None}}]}
         transport = ScriptedTransport([{"status": 200, "body": body}])

@@ -85,14 +85,14 @@ def artifact_bytes(out_dir) -> dict[str, bytes]:
 
 def assert_resumable(out_dir):
     """The state an interrupted run must leave for --resume to finish it:
-    no manifest, one trace per consumed section in corpus order, and the
-    same ids in the index, the samples and the accepted traces."""
+    no manifest, samples.jsonl holding the log's accepted samples, and the
+    index holding their ids."""
     assert not (out_dir / "manifest.json").exists()
     traces = read_corpus_file(out_dir / "traces.jsonl")
-    sample_ids = [r["sample_id"] for r in read_corpus_file(out_dir / "samples.jsonl")]
-    assert [t["sample_id"] for t in traces if t["outcome"] == "accepted"] == sample_ids
+    samples = [t["sample"] for t in traces if t["outcome"] == "accepted"]
+    assert read_corpus_file(out_dir / "samples.jsonl") == samples
     index = load_index(out_dir / "index.tsv")
-    assert index.ids == sample_ids
+    assert index.ids == [s["sample_id"] for s in samples]
     assert find_violations(index) == []
 
 
@@ -393,7 +393,7 @@ class TestRunPipeline:
             assert trace["outcome"] == "generation_error"
             assert trace["error"].startswith("malformed embeddings body")
             assert trace["attempt_scores"] and trace["attempt_scores"][-1] >= 75.0
-            assert trace["sample_id"] is None
+            assert trace["sample"] is None
         counts = manifest["counts"]
         assert counts["accepted"] == golden_manifest["counts"]["accepted"] - len(failing)
         assert sum(counts.values()) == manifest["consumed_sections"] == 50
@@ -416,7 +416,7 @@ class TestRunPipeline:
     def test_trace_records_share_one_key_order(self, corpus50_records, sim_fns, tmp_path):
         run_pipeline(PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed, tmp_path)
         expected = [
-            "section_id", "outcome", "attempt_scores", "sample_id", "nearest_id",
+            "section_id", "outcome", "attempt_scores", "sample", "nearest_id",
             "nearest_similarity", "error", "started_at", "finished_at",
         ]
         records = read_corpus_file(tmp_path / "traces.jsonl")
