@@ -37,8 +37,10 @@ from .gateway import (
 )
 from .pipeline import (
     INDEX_FILENAME,
+    MANIFEST_FILENAME,
     PipelineConfig,
     SAMPLES_FILENAME,
+    TRACES_FILENAME,
     export_finetune_file,
     load_samples,
     read_corpus_file,
@@ -58,8 +60,10 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NETWORK = 4
 
-# export writes the validation split beside the fine-tuning file.
+# export writes the validation split beside the fine-tuning file, and
+# refuses an --out that would overwrite it or a synth run's file.
 VALIDATION_FILENAME = "validation.jsonl"
+RUN_FILENAMES = (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME)
 
 # Tests inject transports here: factory(profile_name, gateway_config).
 TransportFactory = Callable[[str, GatewayConfig], Transport]
@@ -279,10 +283,13 @@ def cmd_export(args) -> int:
         raise ConfigError(str(exc)) from exc
     splits = split_dataset(samples, cfg.pipeline)
     out = Path(args.out) if args.out else Path(cfg.paths.output_dir) / f"finetune-{args.size}.jsonl"
-    if out.name == VALIDATION_FILENAME:
-        raise ValueError(f"--out {out} would be overwritten by the validation split")
-    count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
     validation = out.parent / VALIDATION_FILENAME
+    if out.name in (VALIDATION_FILENAME, *RUN_FILENAMES):
+        raise ValueError(f"--out {out}: export writes no file named {out.name}, since it would "
+                         "overwrite a synth run's file or would be overwritten by the validation split")
+    if Path(dataset).resolve() in (out.resolve(), validation.resolve()):
+        raise ValueError(f"--out {out}: export would overwrite the dataset {dataset}")
+    count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
     write_atomic(validation, (json.dumps(asdict(s), ensure_ascii=False) + "\n"
                               for s in splits.validation))
     print(f"wrote {count} records to {out}")

@@ -87,12 +87,13 @@ class PathsConfig:
 @dataclass(frozen=True)
 class PromptsConfig:
     qa_generation: Annotated[str, "template over {section_text}"] = prompts.QA_GENERATION_TEMPLATE
-    simplify: Annotated[str, "template over {question} and {answer}"] = prompts.SIMPLIFY_TEMPLATE
+    simplify: Annotated[str, "template over {question}, {answer} and optional {feedback}"] = (
+        prompts.SIMPLIFY_TEMPLATE)
 
     def __post_init__(self):
         check_fields(self)
         for name, keys in (("qa_generation", ["section_text"]),
-                           ("simplify", ["question", "answer"])):
+                           ("simplify", ["question", "answer", "feedback"])):
             template = getattr(self, name)
             if not template:
                 raise ValueError(f"{name} must be non-empty")

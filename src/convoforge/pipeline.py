@@ -14,9 +14,10 @@ and a temperature and returns the reply text, and EmbedFn embeds texts.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions, so a fixed seed is bit-identical. That stage sends
-accepted entries to the index snapshot's writer (see snapshot) and appends
-each section to traces.jsonl, the one commit log, whose accepted lines carry
-their samples. Every exit saves the index and rebuilds samples.jsonl from it.
+accepted entries to the index snapshot's writer (see snapshot), which appends
+them to index.tsv in place, and appends each section to traces.jsonl, the one
+commit log, whose accepted lines carry their samples. Every exit waits for
+the writer and rebuilds samples.jsonl from the log.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
@@ -290,21 +291,23 @@ def simplify_until_pass(
 
     Returns every attempt's score and the first passing answer, or None
     when no attempt passes; once an attempt passes, no further calls are
-    issued. Attempts after the first feed back the latest rephrase so
-    each round simplifies further.
+    issued. Attempts after the first feed back the latest rephrase and its
+    score (prompts.SIMPLIFY_FEEDBACK) so each round simplifies further.
     """
     if not question or not answer_original:
         raise ValueError("question and answer_original must be non-empty")
-    current = answer_original
+    current, feedback = answer_original, ""
     scores: list[float] = []
-    for _ in range(config.max_attempts):
-        prompt = template.format(question=question, answer=current)
+    for attempt in range(1, config.max_attempts + 1):
+        prompt = template.format(question=question, answer=current, feedback=feedback)
         candidate = chat([{"role": "user", "content": prompt}], config.generation_temperature)
         score = flesch_reading_ease(candidate).flesch_score
         scores.append(score)
         if score >= config.accept_threshold:
             return scores, candidate
         current = candidate
+        feedback = prompts.SIMPLIFY_FEEDBACK.format(
+            attempt=attempt + 1, score=score, threshold=config.accept_threshold)
     return scores, None
 
 

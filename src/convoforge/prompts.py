@@ -44,17 +44,25 @@ Respond with a JSON object containing exactly two fields, "question" and \
 "answer", and nothing else."""
 
 # Step 2: rephrase an answer conversationally without changing what it
-# says. Applied repeatedly when the result still reads too formally.
+# says. Applied repeatedly when the result still reads too formally; from
+# the second attempt on, {feedback} is SIMPLIFY_FEEDBACK filled in (empty on
+# the first), so the model sees its previous answer and that answer's score.
 SIMPLIFY_TEMPLATE = """\
 Rephrase the following answer in a conversational tone, while keeping the \
 semantic content of the answer the same. Use plain, everyday words and \
-short sentences, as if you were speaking to a friend.
+short sentences, as if you were speaking to a friend.{feedback}
 
 Question: {question}
 
 Answer: {answer}
 
 Respond with the rephrased answer only."""
+
+SIMPLIFY_FEEDBACK = (
+    "\n\nThis is attempt {attempt}. The answer below is your previous attempt; "
+    "it scored {score:.1f} on the Flesch Reading Ease scale, and the "
+    "rephrased answer must score at least {threshold:g}."
+)
 
 
 def preset(name: str) -> str:

@@ -6,21 +6,22 @@ reads back bit-exactly. An id therefore holds none of ID_SEPARATORS.
 
 synth writes it through a child process, this module run as a script:
 
-    python -I -S snapshot.py TMP_PATH SNAPSHOT
+    python -I -S snapshot.py SNAPSHOT
 
 IndexWriter starts the child once the run's resume state has loaded, and
 the run sends it each entry as the entry is accepted, so the run never
 formats its whole index at the end. The child imports only the standard
 library, so it starts in tens of milliseconds and never loads numpy; this
-module's top level must stay that way. The child first copies SNAPSHOT's
-bytes into TMP_PATH when SNAPSHOT exists, ending a last line that lacks its
-newline: a --resume keeps its snapshot without formatting it again, and a
-fresh run has already deleted it. Then it appends one line per frame and
-exits 0 at the end of its input. It runs in its own session and ignores
-SIGINT, so a Ctrl-C that stops synth leaves it running until save_index,
-which every exit from the run calls, waits for it. save_index renames
-TMP_PATH over SNAPSHOT only if the child exited 0; otherwise it removes
-TMP_PATH and raises OSError, so SNAPSHOT is left as it was.
+module's top level must stay that way. The child opens SNAPSHOT for
+appending, on a fresh run (which has deleted it) and a --resume alike,
+first ending a last line that lacks its newline; then it appends one line
+per frame and exits 0 at the end of its input, so a live run's SNAPSHOT can
+end in a torn line. It runs in its own session and ignores SIGINT, so a
+Ctrl-C that stops synth leaves it running until save_index, which every
+exit from the run calls, waits for it; a killed synth leaves it to drain
+the pipe and exit. If the child does not exit 0, save_index cuts SNAPSHOT
+back to the size IndexWriter recorded, or removes it if the run created
+it, and raises OSError, so SNAPSHOT is left as it was.
 
 A frame is a little-endian header of two uint32s, the id's UTF-8 length and
 the row's byte length, then the id and the row as float64 bytes in the
@@ -38,7 +39,6 @@ from array import array
 ID_SEPARATORS = "\t\n\r"
 
 HEADER = struct.Struct("<II")
-_COPY_CHUNK = 1 << 20
 
 
 class IndexWriter:
@@ -57,9 +57,12 @@ class IndexWriter:
         import subprocess  # only here: eval, export and dedup-check never load it
 
         self.path = os.fspath(path)
-        self._tmp = f"{self.path}.tmp"
+        try:  # what save_index cuts a failed child's appends back to
+            self._size = os.path.getsize(self.path)
+        except FileNotFoundError:
+            self._size = None
         self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", self._SCRIPT, self._tmp, self.path],
+            [sys.executable, "-I", "-S", self._SCRIPT, self.path],
             stdin=subprocess.PIPE, bufsize=self._BUFFER_BYTES, start_new_session=True)
 
     def append(self, sample_id: str, row) -> None:
@@ -73,21 +76,20 @@ class IndexWriter:
 
 
 def save_index(writer: IndexWriter) -> None:
-    """Send the rest, wait for writer's child, and rename its file over the
-    snapshot if it exited 0; otherwise remove that file and raise OSError."""
+    """Send the rest and wait for writer's child; if it did not exit 0, cut
+    the snapshot back to what it held before and raise OSError."""
     try:
         writer._proc.stdin.close()  # flushes first
     except BrokenPipeError:
         pass  # the child is gone; its exit status says why
     status = writer._proc.wait()
     if status != 0:
-        try:
-            os.unlink(writer._tmp)
-        except FileNotFoundError:
-            pass
+        if writer._size is not None:
+            os.truncate(writer.path, writer._size)
+        elif os.path.exists(writer.path):  # a child may die before it opens it
+            os.unlink(writer.path)
         raise OSError(f"index writer exited with status {status}; "
                       f"{writer.path} was left as it was")
-    os.replace(writer._tmp, writer.path)
 
 
 def load_index(path, threshold=None):
@@ -116,16 +118,12 @@ def load_index(path, threshold=None):
 def main(argv: list) -> int:
     # A Ctrl-C stops synth, whose exit path still waits for this process.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    tmp_path, snapshot_path = argv
+    (snapshot_path,) = argv
     frames = sys.stdin.buffer
-    with open(tmp_path, "wb") as out:
-        if os.path.exists(snapshot_path):
-            last = b"\n"
-            with open(snapshot_path, "rb") as snapshot:
-                for chunk in iter(lambda: snapshot.read(_COPY_CHUNK), b""):
-                    out.write(chunk)
-                    last = chunk[-1:]
-            if last != b"\n":
+    with open(snapshot_path, "a+b") as out:
+        if out.tell():
+            out.seek(-1, os.SEEK_END)
+            if out.read(1) != b"\n":
                 out.write(b"\n")
         while header := frames.read(HEADER.size):
             id_size, row_size = HEADER.unpack(header)  # raises on a cut header

@@ -156,7 +156,7 @@ REJECTED_SETTINGS = [
                  "pipeline section: subset_sizes must list at least one size",
                  id="subset_sizes=[]"),
     pytest.param({"prompts": {"simplify": "Make it simpler: {answr}"}},
-                 "prompts section: simplify may use only the placeholders ['question', 'answer']",
+                 "prompts section: simplify may use only the placeholders ['question', 'answer', 'feedback']",
                  id="prompts.simplify-placeholder"),
     pytest.param({"prompts": {"qa_generation": 'Reply as {"question": ...}: {section_text}'}},
                  "prompts section: qa_generation may use only the placeholders ['section_text']",
@@ -547,10 +547,12 @@ class TestResume:
     def test_resume_of_a_finished_run_changes_no_byte(self, capsys, synthesized_run):
         run_dir = synthesized_run / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        index_inode = (run_dir / "index.tsv").stat().st_ino
         config = write_dryrun_config(synthesized_run)
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+        assert (run_dir / "index.tsv").stat().st_ino == index_inode  # appended in place
 
     @pytest.mark.parametrize("damage", ["deleted", "truncated", "garbage line"])
     def test_resume_rewrites_samples_from_the_log(self, capsys, synthesized_run, damage):
@@ -634,7 +636,7 @@ class TestIndexWriterFailure:
         status = -signal.SIGKILL if failure == "killed" else 3
         assert f"error: index writer exited with status {status}" in err
         assert index.read_bytes() == before
-        assert not (tmp_path / "run" / "index.tsv.tmp").exists()
+        assert sorted(os.listdir(tmp_path / "run")) == ["index.tsv", "samples.jsonl", "traces.jsonl"]
         assert not (tmp_path / "run" / "manifest.json").exists()
         assert len(writers) == 1 and writers[0]._proc.returncode == status  # reaped
         # samples.jsonl is rebuilt from the log although the index save raised.
@@ -649,7 +651,7 @@ class TestIndexWriterFailure:
 
 
 CTRL_C_SCRIPT = """
-import sys, threading, time
+import signal, sys, threading, time
 from convoforge import cli
 from convoforge.simulate import SimulatedModelTransport
 
@@ -664,11 +666,15 @@ class Slow(SimulatedModelTransport):
         time.sleep(0.005)
         return super().post(path, payload)
 
+# As a child of an interactive shell has it, also where this process was
+# started with SIGINT ignored (as a shell's background job is).
+signal.signal(signal.SIGINT, signal.default_int_handler)
 sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Slow()))
 """
 
 
-def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
+@pytest.mark.parametrize("inherited", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path, inherited):
     """A real synth process, sent SIGINT as a terminal's Ctrl-C sends it to
     the foreground process group, leaves samples.jsonl holding the log's
     accepted samples and the index their ids, and --resume then writes what
@@ -680,6 +686,7 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", CTRL_C_SCRIPT, "synth", "--config", str(config)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, inherited),
     )
     try:
         assert proc.stdout.readline() == b"mid-run\n"
@@ -694,7 +701,7 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path):
 
     run_dir = tmp_path / "run"
     assert not (run_dir / "manifest.json").exists()
-    assert not (run_dir / "index.tsv.tmp").exists()  # the writer was waited for
+    assert sorted(os.listdir(run_dir)) == ["index.tsv", "samples.jsonl", "traces.jsonl"]
     traces = read_corpus_file(run_dir / "traces.jsonl")
     samples = [t["sample"] for t in traces if t["outcome"] == "accepted"]
     assert read_corpus_file(run_dir / "samples.jsonl") == samples
@@ -1079,6 +1086,38 @@ class TestExport:
         assert code == 3
         assert "would be overwritten by the validation split" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_out_over_a_run_file_is_refused(self, capsys, synthesized_run, name):
+        run_dir = synthesized_run / "run"
+        before = {artifact: (run_dir / artifact).read_bytes() for artifact in ARTIFACTS}
+        config = self.export_config(synthesized_run)
+        code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "20",
+                               "--out", str(run_dir / name))
+        assert code == 3
+        assert "would overwrite" in err and name in err
+        assert {artifact: (run_dir / artifact).read_bytes() for artifact in ARTIFACTS} == before
+        assert sorted(os.listdir(run_dir)) == sorted(ARTIFACTS)  # no validation.jsonl either
+
+    @pytest.mark.parametrize("dataset_name, out_name", [
+        ("qa.jsonl", "qa.jsonl"),  # --out itself
+        ("validation.jsonl", "ft.jsonl"),  # the validation split written beside --out
+    ])
+    def test_out_that_resolves_to_the_dataset_is_refused(
+        self, capsys, synthesized_run, dataset_name, out_name
+    ):
+        dataset = synthesized_run / "data" / dataset_name
+        dataset.parent.mkdir()
+        dataset.write_bytes((synthesized_run / "run" / "samples.jsonl").read_bytes())
+        before = dataset.read_bytes()
+        config = self.export_config(synthesized_run)
+        out_path = synthesized_run / "run" / ".." / "data" / out_name
+        code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "20",
+                               "--dataset", str(dataset), "--out", str(out_path))
+        assert code == 3
+        assert f"--out {out_path}: export would overwrite the dataset {dataset}" in err
+        assert dataset.read_bytes() == before
+        assert os.listdir(dataset.parent) == [dataset_name]
 
     def test_unknown_prompt_preset(self, capsys, synthesized_run):
         config = self.export_config(synthesized_run)

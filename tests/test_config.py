@@ -221,6 +221,10 @@ class TestNumericFields:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(**values)
 
+    @pytest.mark.parametrize("simplify", ["{question} {answer}", "{feedback}{question} {answer}"])
+    def test_simplify_may_omit_the_feedback(self, simplify):
+        assert PromptsConfig(simplify=simplify).simplify == simplify
+
 
 class TestSecrets:
     def test_api_key_env_stays_a_variable_name(self, tmp_path, monkeypatch):

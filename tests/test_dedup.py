@@ -248,6 +248,14 @@ def write_entries(path, ids, rows) -> None:
     save_index(writer)
 
 
+def wait_for_size(path, size) -> None:
+    """Until the index writer's child has appended up to size bytes."""
+    deadline = time.monotonic() + 10
+    while not path.exists() or path.stat().st_size < size:
+        assert time.monotonic() < deadline, "the writer never appended"
+        time.sleep(0.005)
+
+
 def write_index(path, index: QuestionIndex) -> None:
     write_entries(path, index.ids, index._rows)
 
@@ -273,13 +281,32 @@ class TestIndexWriter:
         assert loaded.ids == ids
         assert loaded._rows[:len(ids)].tobytes() == rows.tobytes()  # -0.0 keeps its sign bit
 
-    def test_extend_copies_the_snapshot_bytes_then_appends(self, tmp_path):
+    def test_extend_appends_to_the_snapshot_in_place(self, tmp_path):
         rows = self.varied_rows()
         ids = [f"qa-{k}" for k in range(len(rows))]
         path = tmp_path / "index.tsv"
         write_entries(path, ids[:10], rows[:10])
+        inode = path.stat().st_ino
         write_entries(path, ids[10:], rows[10:])
         assert path.read_bytes() == b"".join(map(parent_line, ids, rows))
+        assert path.stat().st_ino == inode
+        assert os.listdir(tmp_path) == ["index.tsv"]
+
+    def test_the_snapshot_grows_in_place_while_the_writer_runs(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"a\t1.0 0.0\n")
+        inode = path.stat().st_ino
+        writer = IndexWriter(path)
+        row = self.varied_rows()[0]
+        writer.append("b", row)
+        writer.flush()
+        wait_for_size(path, len(b"a\t1.0 0.0\n") + len(parent_line("b", row)))
+        assert os.listdir(tmp_path) == ["index.tsv"]  # no file beside it
+        assert path.stat().st_ino == inode
+        save_index(writer)
+        assert path.read_bytes() == b"a\t1.0 0.0\n" + parent_line("b", row)
+        assert path.stat().st_ino == inode
+        assert os.listdir(tmp_path) == ["index.tsv"]
 
     def test_extend_ends_a_last_line_that_lacks_its_newline(self, tmp_path):
         path = tmp_path / "index.tsv"
@@ -302,7 +329,59 @@ class TestIndexWriter:
         with pytest.raises(OSError, match=rf"^index writer exited with status {status};"):
             save_index(writer)
         assert path.read_bytes() == b"a\t1.0 0.0\n"
-        assert not Path(f"{path}.tmp").exists()
+        assert os.listdir(tmp_path) == ["index.tsv"]
+
+    @pytest.mark.parametrize("before", [b"a\t1.0 0.0\n", b"a\t1.0 0.0", None],
+                             ids=["whole lines", "no final newline", "absent"])
+    @pytest.mark.parametrize("failure", ["killed", "exits nonzero", "input ends inside a frame"])
+    def test_a_failed_writer_undoes_its_appends(self, tmp_path, monkeypatch, failure, before):
+        path = tmp_path / "index.tsv"
+        if before is not None:
+            path.write_bytes(before)
+        row = self.varied_rows()[0]
+        if failure == "exits nonzero":
+            script = tmp_path / "failing_writer.py"  # appends, then fails
+            script.write_text("import sys\nopen(sys.argv[1], 'ab').write(b'\\nb\\t0.')\n"
+                              "sys.exit(3)\n", encoding="utf-8")
+            monkeypatch.setattr(IndexWriter, "_SCRIPT", str(script))
+        writer = IndexWriter(path)
+        writer.append("b", row)
+        if failure == "killed":
+            writer.flush()
+            wait_for_size(path, len(before or b"") + len(parent_line("b", row)))
+            writer._proc.kill()
+        elif failure == "input ends inside a frame":  # after one whole frame
+            frame = snapshot.HEADER.pack(1, 16) + b"c" + vec(0.5, 0.5).tobytes()
+            writer._proc.stdin.write(frame[:-3])
+        status = {"killed": -signal.SIGKILL, "exits nonzero": 3}.get(failure, 1)
+        with pytest.raises(OSError, match=rf"^index writer exited with status {status};"):
+            save_index(writer)
+        if before is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == before
+        assert "index.tsv.tmp" not in os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["end of input", "cut frame"])
+    def test_a_dead_parent_leaves_every_whole_frame(self, tmp_path, cut):
+        # The parent's end of the pipe closes without save_index, as when
+        # synth is killed; the child drains what was sent and exits.
+        rows = self.varied_rows()[:4]
+        ids = ["qa-0", "qa-1", "qa-2"]
+        path = tmp_path / "index.tsv"
+        path.write_bytes(parent_line("a", rows[0])[:-1])  # lacks its newline
+        writer = IndexWriter(path)
+        for sample_id, row in zip(ids, rows[1:]):
+            writer.append(sample_id, row)
+        if cut:
+            frame = snapshot.HEADER.pack(1, 16) + b"c" + vec(0.5, 0.5).tobytes()
+            writer._proc.stdin.write(frame[:-3])
+        writer._proc.stdin.close()
+        assert writer._proc.wait(timeout=60) == (1 if cut else 0)
+        assert path.read_bytes() == b"".join(map(parent_line, ["a"] + ids, rows))
+        loaded = load_index(path)
+        assert loaded.ids == ["a"] + ids
+        assert loaded._rows[:4].tobytes() == rows.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
     def test_ignores_sigint_in_a_session_of_its_own(self, tmp_path):
@@ -321,14 +400,13 @@ class TestIndexWriter:
 
     def test_the_child_imports_only_the_standard_library(self, tmp_path):
         # Neither numpy nor the package: the writer starts in about 30 ms.
-        tmp = tmp_path / "index.tsv.tmp"
+        path = tmp_path / "index.tsv"
         child = subprocess.run(
-            [sys.executable, "-I", "-S", "-X", "importtime", snapshot.__file__,
-             str(tmp), str(tmp_path / "missing.tsv")],
+            [sys.executable, "-I", "-S", "-X", "importtime", snapshot.__file__, str(path)],
             stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
         )
         assert child.returncode == 0, child.stderr.decode()
-        assert tmp.read_bytes() == b""
+        assert path.read_bytes() == b""
         imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.decode().splitlines()}
         assert "struct" in imported  # the log lists what the child imported
         assert not [name for name in imported if name.split(".")[0] in ("numpy", "convoforge")]

@@ -28,7 +28,7 @@ from convoforge.pipeline import (
     simplify_until_pass,
     split_dataset,
 )
-from convoforge.prompts import CONCISE_FINETUNE_PROMPT
+from convoforge.prompts import CONCISE_FINETUNE_PROMPT, SIMPLIFY_TEMPLATE
 from convoforge.snapshot import load_index
 from convoforge.textmetrics import flesch_reading_ease
 
@@ -219,6 +219,27 @@ class TestSimplify:
         assert "original answer" in chat.prompts[0]
         assert fail_1 in chat.prompts[1]
         assert fail_2 in chat.prompts[2]
+
+    def test_later_attempts_carry_the_previous_score(self):
+        fail_2 = DENSE_TEXT.replace("Regrettably", "Unquestionably")
+        chat = ScriptedChat([DENSE_TEXT, fail_2, EASY_TEXT])
+        scores, _ = simplify_until_pass("Q?", "original answer", PipelineConfig(), chat)
+        assert chat.prompts[0] == SIMPLIFY_TEMPLATE.format(
+            question="Q?", answer="original answer", feedback="")
+        assert "attempt" not in chat.prompts[0] and "scored" not in chat.prompts[0]
+        for attempt, prompt in enumerate(chat.prompts[1:], start=2):
+            assert (f"This is attempt {attempt}. The answer below is your previous attempt; "
+                    f"it scored {scores[attempt - 2]:.1f} on the Flesch Reading Ease scale, "
+                    f"and the rephrased answer must score at least 75.") in prompt
+        assert f"{scores[0]:.1f}" != f"{scores[1]:.1f}"  # each prompt names its own score
+
+    def test_a_template_without_feedback_keeps_the_dry_run_counts(
+        self, corpus50_records, sim_fns, tmp_path, golden_manifest
+    ):
+        template = SIMPLIFY_TEMPLATE.replace("{feedback}", "")
+        manifest = run_pipeline(PipelineConfig(), corpus50_records, sim_fns.chat, sim_fns.embed,
+                                tmp_path, simplify_template=template)
+        assert manifest["counts"] == golden_manifest["counts"]
 
     def test_all_attempts_failing_discards(self):
         chat = ScriptedChat([DENSE_TEXT] * 3)

@@ -52,8 +52,19 @@ def test_qa_template_placeholder():
     assert '"answer"' in rendered
 
 def test_simplify_template_placeholders():
-    rendered = prompts.SIMPLIFY_TEMPLATE.format(question="Q?", answer="A.")
+    rendered = prompts.SIMPLIFY_TEMPLATE.format(question="Q?", answer="A.", feedback="")
     assert "Q?" in rendered
     assert "A." in rendered
     assert "{question}" not in rendered
     assert "{answer}" not in rendered
+
+
+def test_first_simplify_prompt_keeps_its_bytes():
+    # Attempt 1 fills {feedback} with nothing; its prompt predates the feedback.
+    rendered = prompts.SIMPLIFY_TEMPLATE.format(question="Q?", answer="A.", feedback="")
+    assert rendered == (
+        "Rephrase the following answer in a conversational tone, while keeping the "
+        "semantic content of the answer the same. Use plain, everyday words and "
+        "short sentences, as if you were speaking to a friend.\n\nQuestion: Q?\n\n"
+        "Answer: A.\n\nRespond with the rephrased answer only."
+    )
