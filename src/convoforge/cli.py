@@ -7,7 +7,8 @@ configuration problems (bad file, missing API-key variable), 3 violated
 preconditions (including a --resume over files that disagree), 4 network
 trouble or a rejected API key. A synth call that still fails after its
 retries stops the run with 4, and --resume finishes it; eval counts such a
-call as a missing response.
+call as a missing response. A SIGTERM stops synth as a Ctrl-C does, so
+--resume finishes that run too, and the process then dies by SIGTERM.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -168,6 +171,15 @@ _DRY_RUN_GATEWAY = GatewayConfig(
 )
 
 
+class Terminated(KeyboardInterrupt):
+    """A SIGTERM received while synth runs; raised like a Ctrl-C, so the run's
+    finally leaves files that --resume finishes."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated
+
+
 def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
     cfg = load_run_config(args.config)
     if args.limit is not None and args.limit < 0:
@@ -187,18 +199,28 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         chat_gateway, chat_transport = _connect(cfg, cfg.run.generation_profile, transport_factory)
         embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
 
-    manifest = run_pipeline(
-        cfg.pipeline,
-        records,
-        chat=_chat_fn(chat_gateway, cfg.pipeline.generation_model,
-                      cfg.pipeline.max_output_tokens, chat_transport),
-        embed=_embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport),
-        out_dir=out_dir,
-        resume=args.resume,
-        limit=args.limit,
-        qa_template=cfg.prompts.qa_generation,
-        simplify_template=cfg.prompts.simplify,
-    )
+    on_main = threading.current_thread() is threading.main_thread()  # only it sets handlers
+    previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
+    try:
+        manifest = run_pipeline(
+            cfg.pipeline,
+            records,
+            chat=_chat_fn(chat_gateway, cfg.pipeline.generation_model,
+                          cfg.pipeline.max_output_tokens, chat_transport),
+            embed=_embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport),
+            out_dir=out_dir,
+            resume=args.resume,
+            limit=args.limit,
+            qa_template=cfg.prompts.qa_generation,
+            simplify_template=cfg.prompts.simplify,
+        )
+    except Terminated:  # the run's finally is done: die by SIGTERM, as the sender expects
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     for outcome, count in sorted(manifest["counts"].items()):
         print(f"{outcome}: {count}")
     print(f"samples: {manifest['sample_count']}")

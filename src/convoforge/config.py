@@ -14,12 +14,12 @@ import os
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Annotated, Optional, Union, get_args, get_origin
+from typing import Annotated, Optional, get_args, get_origin, get_type_hints
 
 import yaml
 
 from . import prompts
-from .gateway import GatewayConfig, check_fields, field_types, type_name
+from .gateway import Bound, GatewayConfig, check_fields, field_rules, type_name
 from .pipeline import PipelineConfig
 from .textmetrics import CONVERSATIONAL_THRESHOLD, MAX_FLESCH_SCORE
 
@@ -37,16 +37,14 @@ class EvalModelSpec:
     model: Annotated[str, "model id sent to the endpoint"]
     system_prompt: Annotated[str, "literal system prompt, or instead\nsystem_prompt_preset: "
                              + " | ".join(prompts.PRESETS)] = ""
-    max_output_tokens: Annotated[int, "reply cap per call"] = 512
-    training_set_size: Annotated[Optional[int], "fine-tuning subset size, for reports"] = None
+    max_output_tokens: Annotated[int, "reply cap per call", Bound(1)] = 512
+    training_set_size: Annotated[
+        Optional[int], "fine-tuning subset size, for reports", Bound(1)] = None
 
     def __post_init__(self):
-        check_fields(self, positive=("max_output_tokens", "training_set_size"))
-        for name in ("label", "model"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if not self.system_prompt:
+        if self.system_prompt == "":
             raise ValueError("a system prompt is required: system_prompt or system_prompt_preset")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,12 @@ class RunProfiles:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    threshold: Annotated[float, "conversational cutoff, inclusive"] = CONVERSATIONAL_THRESHOLD
+    threshold: Annotated[float, "conversational cutoff, inclusive",
+                         Bound(0, MAX_FLESCH_SCORE, open=True)] = CONVERSATIONAL_THRESHOLD
     models: Annotated[tuple[EvalModelSpec, ...], "models to evaluate"] = ()
 
     def __post_init__(self):
         check_fields(self)
-        if not 0 < self.threshold <= MAX_FLESCH_SCORE:
-            raise ValueError(f"threshold must be in (0, {MAX_FLESCH_SCORE}], got {self.threshold}")
         if len({m.label for m in self.models}) != len(self.models):
             raise ValueError("model labels must be unique")
 
@@ -94,11 +91,8 @@ class PromptsConfig:
         check_fields(self)
         for name, keys in (("qa_generation", ["section_text"]),
                            ("simplify", ["question", "answer", "feedback"])):
-            template = getattr(self, name)
-            if not template:
-                raise ValueError(f"{name} must be non-empty")
             try:  # as the pipeline formats it
-                template.format(**dict.fromkeys(keys, ""))
+                getattr(self, name).format(**dict.fromkeys(keys, ""))
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{name} may use only the placeholders {keys} and must "
                                  f"double a literal brace: {exc!r}") from None
@@ -144,8 +138,6 @@ def _interpolate(value, source: str):
 def _as_type(value, hint):
     """`value` as `hint` where it reads as one (a ${VAR} number, an int for a
     float, a tuple); anything else unchanged, for the dataclass's check to reject."""
-    if get_origin(hint) is Union:  # Optional[X]
-        hint = get_args(hint)[0]
     if get_origin(hint) is tuple and isinstance(value, list):
         return tuple(_as_type(v, get_args(hint)[0]) for v in value)
     if hint in (int, float) and isinstance(value, (str, int)) and not isinstance(value, bool):
@@ -170,9 +162,9 @@ def _mapping(values, source: str, cls=None) -> dict:
 
 def _read(cls, values, source: str):
     """`cls` built from the mapping `values`, each read as its field's type."""
-    values, hints = _mapping(values, source, cls), field_types(cls)
+    values, kinds = _mapping(values, source, cls), {n: k for n, _, k, _ in field_rules(cls)}
     try:
-        return cls(**{key: _as_type(value, hints[key]) for key, value in values.items()})
+        return cls(**{key: _as_type(value, kinds[key]) for key, value in values.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -232,11 +224,13 @@ def load_run_config(path) -> RunConfig:
 
 def _schema_lines(cls, indent: int) -> list[str]:
     """One line per field of `cls`, with a nested section's fields indented under its key."""
-    lines, hints = [], field_types(cls, include_extras=True)
+    lines, hints = [], get_type_hints(cls, include_extras=True)
     for f in fields(cls):
-        hint, help_text = get_args(hints[f.name])  # Annotated[type, help]
+        hint, help_text, *bound = get_args(hints[f.name])  # Annotated[type, help, Bound]
         nested = next((arg for arg in get_args(hint) or (hint,) if is_dataclass(arg)), None)
         head = " " * indent + f.name + ":"
+        if bound:
+            help_text += f"; {bound[0]}"
         if nested is None:
             head += " " + type_name(hint)
             if f.default not in (MISSING, None, "") and "\n" not in str(f.default):
@@ -253,8 +247,9 @@ def _schema_lines(cls, indent: int) -> list[str]:
 
 
 CONFIG_SCHEMA = """\
-configuration file schema (YAML; an unknown section or key is an error). Any
-value may use ${VAR}; an int or float field reads it as a number (random_seed:
-${SEED}); inside a [...] list, quote it: subset_sizes: ["${A}", "${B}"].
+configuration file schema (YAML). An unknown section or key is an error, as
+is an empty str. Any value may use ${VAR}; an int or float field reads it as
+a number (random_seed: ${SEED}); inside a [...] list, quote it:
+subset_sizes: ["${A}", "${B}"].
 
 """ + "\n".join(_schema_lines(RunConfig, 0)) + "\n"

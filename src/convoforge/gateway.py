@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import random
 import time
@@ -63,18 +64,51 @@ class ProtocolError(GatewayError):
     """The endpoint answered, but not in the shape we require."""
 
 
-field_types = functools.cache(get_type_hints)  # evaluating annotations costs more than a check
+@dataclass(frozen=True)
+class Bound:
+    """A numeric field's rule, after its help text in its Annotated type: a
+    finite number of the field's type in [low, high], or (low, high] if open."""
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>' if self.open else '>='} {self.low}"
+        return f"in {'(' if self.open else '['}{self.low}, {self.high}]"
+
+    def admits(self, number) -> bool:
+        """Whether `number` is in range; nan fails every comparison."""
+        above = self.low < number if self.open else self.low <= number
+        return above and number <= self.high and number < math.inf
 
 
-def check_fields(obj, positive: Sequence[str] = ()) -> None:
-    """Raise ValueError naming the first field of dataclass `obj` not of its
-    declared type (a bool is not a number), or in `positive` and below 1."""
-    for name, hint in field_types(type(obj)).items():
+@functools.cache  # evaluating annotations costs more than a check
+def field_rules(cls) -> tuple:
+    """(name, type, type without Optional, Bound or None) per field of dataclass `cls`."""
+    rules = []
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        notes = getattr(hint, "__metadata__", ())  # what Annotated[X, ...] adds: help, Bound
+        bound = next((note for note in notes if isinstance(note, Bound)), None)
+        hint = get_args(hint)[0] if notes else hint
+        kind = get_args(hint)[0] if get_origin(hint) is Union else hint  # Optional[X]: X
+        rules.append((name, hint, kind, bound))
+    return tuple(rules)
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError naming the first field of dataclass `obj` that breaks its
+    rule: its Bound, then its type (a bool is not a number), then non-empty text."""
+    for name, hint, kind, bound in field_rules(type(obj)):
         value = getattr(obj, name)
-        if name in positive and value is not None and not (_has_type(value, int) and value >= 1):
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
-        if not _has_type(value, hint):
+        if value is None and kind is not hint:  # an Optional field left unset
+            continue
+        if bound and not (_has_type(value, kind) and bound.admits(value)):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+        if not _has_type(value, kind):
             raise ValueError(f"{name} must be of type {type_name(hint)}, got {value!r}")
+        if kind is str and not value:
+            raise ValueError(f"{name} must be non-empty")
 
 
 def type_name(hint) -> str:
@@ -83,11 +117,8 @@ def type_name(hint) -> str:
 
 
 def _has_type(value, hint) -> bool:
-    args = get_args(hint)
-    if get_origin(hint) is Union:
-        return any(_has_type(value, arg) for arg in args)
     if get_origin(hint) is tuple:
-        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+        return isinstance(value, tuple) and all(_has_type(v, get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -97,22 +128,12 @@ def _has_type(value, hint) -> bool:
 class GatewayConfig:
     base_url: Annotated[str, "OpenAI-compatible endpoint root"]
     api_key_env: Annotated[str, "NAME of the environment variable holding the key"]
-    request_timeout: Annotated[float, "seconds per request"] = 60.0
-    max_retries: Annotated[int, f"retries of a 429 or 5xx, at most {MAX_RETRY_LIMIT}"] = 4
-    backoff_base: Annotated[float, "seconds before the first retry, doubling"] = 0.5
+    request_timeout: Annotated[float, "seconds per request", Bound(0, open=True)] = 60.0
+    max_retries: Annotated[int, "retries of a 429 or 5xx", Bound(0, MAX_RETRY_LIMIT)] = 4
+    backoff_base: Annotated[float, "seconds before the first retry, doubling", Bound(0)] = 0.5
 
     def __post_init__(self):
         check_fields(self)
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
-        if not self.api_key_env:
-            raise ValueError("api_key_env must be non-empty")
-        if not 0 <= self.max_retries <= MAX_RETRY_LIMIT:
-            raise ValueError(f"max_retries must be in [0, {MAX_RETRY_LIMIT}]")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import prompts
 from .dedup import DEDUP_THRESHOLD, QuestionIndex
-from .gateway import ProtocolError, check_fields
+from .gateway import Bound, ProtocolError, check_fields
 from .snapshot import ID_SEPARATORS, IndexWriter, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
@@ -85,15 +85,11 @@ class QaSample:
     answer_original: str
     answer_simplified: str
     flesch_score: float
-    attempts_used: int
+    attempts_used: Annotated[int, Bound(1)]
     section_id: str
 
     def __post_init__(self):
         check_fields(self)
-        if not self.question:
-            raise ValueError("question must be non-empty")
-        if self.attempts_used < 1:
-            raise ValueError("attempts_used must be >= 1")
 
     @classmethod
     def from_record(cls, record: Mapping) -> "QaSample":
@@ -110,28 +106,23 @@ class QaSample:
 class PipelineConfig:
     generation_model: Annotated[str, "chat model id for QA generation"] = "default-chat"
     embedding_model: Annotated[str, "embedding model id for dedup"] = "default-embed"
-    min_section_chars: Annotated[int, "shorter corpus sections are dropped"] = 700
+    min_section_chars: Annotated[int, "shorter corpus sections are dropped", Bound(0)] = 700
     accept_threshold: Annotated[
-        float, f"readability gate in (0, {MAX_FLESCH_SCORE}], inclusive"] = 75.0
-    max_attempts: Annotated[int, "simplify attempts per answer"] = 3
-    dedup_threshold: Annotated[float, "cosine in (0, 1]; strictly above rejects"] = DEDUP_THRESHOLD
+        float, "readability gate, inclusive", Bound(0, MAX_FLESCH_SCORE, open=True)] = 75.0
+    max_attempts: Annotated[int, "simplify attempts per answer", Bound(1)] = 3
+    dedup_threshold: Annotated[
+        float, "cosine; strictly above rejects", Bound(0, 1, open=True)] = DEDUP_THRESHOLD
     target_samples: Annotated[int, "accepted samples to stop at"] = 10000
-    validation_size: Annotated[int, "samples held out for eval"] = 1000
+    validation_size: Annotated[int, "samples held out for eval", Bound(1)] = 1000
     subset_sizes: Annotated[tuple[int, ...], "training subset sizes"] = (100, 1000, 5000, 9000)
-    concurrency_limit: Annotated[int, "model calls in flight in synth and per eval model"] = 8
+    concurrency_limit: Annotated[
+        int, "model calls in flight in synth and per eval model", Bound(1)] = 8
     random_seed: Annotated[int, "seeds the corpus order and the split"] = 1234
-    generation_temperature: Annotated[float, "synthesis only; eval runs at 0"] = 0.7
-    max_output_tokens: Annotated[int, "reply cap per synthesis call"] = 1024
+    generation_temperature: Annotated[float, "synthesis only; eval runs at 0", Bound(0)] = 0.7
+    max_output_tokens: Annotated[int, "reply cap per synthesis call", Bound(1)] = 1024
 
     def __post_init__(self):
-        check_fields(self, positive=(
-            "max_attempts", "validation_size", "concurrency_limit", "max_output_tokens"))
-        for name in ("generation_model", "embedding_model"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if not self.generation_temperature >= 0:  # also rejects nan
-            raise ValueError(
-                f"generation_temperature must be >= 0, got {self.generation_temperature}")
+        check_fields(self)
         if self.validation_size >= self.target_samples:
             raise ValueError("validation_size must be smaller than target_samples")
         training_pool = self.target_samples - self.validation_size
@@ -141,13 +132,6 @@ class PipelineConfig:
             if not 1 <= size <= training_pool:
                 raise ValueError(f"subset_sizes: {size} is not in [1, {training_pool}], "
                                  f"the training pool (target_samples - validation_size)")
-        if self.min_section_chars < 0:
-            raise ValueError("min_section_chars must be >= 0")
-        if not 0 < self.accept_threshold <= MAX_FLESCH_SCORE:  # also rejects nan
-            raise ValueError(f"accept_threshold must be in (0, {MAX_FLESCH_SCORE}], "
-                             f"got {self.accept_threshold}")
-        if not 0 < self.dedup_threshold <= 1:
-            raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
 
 
 @dataclass

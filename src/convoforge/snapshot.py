@@ -16,12 +16,12 @@ module's top level must stay that way. The child opens SNAPSHOT for
 appending, on a fresh run (which has deleted it) and a --resume alike,
 first ending a last line that lacks its newline; then it appends one line
 per frame and exits 0 at the end of its input, so a live run's SNAPSHOT can
-end in a torn line. It runs in its own session and ignores SIGINT, so a
-Ctrl-C that stops synth leaves it running until save_index, which every
-exit from the run calls, waits for it; a killed synth leaves it to drain
-the pipe and exit. If the child does not exit 0, save_index cuts SNAPSHOT
-back to the size IndexWriter recorded, or removes it if the run created
-it, and raises OSError, so SNAPSHOT is left as it was.
+end in a torn line. It runs in its own session and ignores SIGINT and
+SIGTERM, so a Ctrl-C or a SIGTERM that stops synth leaves it running until
+save_index, which every exit from the run calls, waits for it; a killed
+synth leaves it to drain the pipe and exit. If the child does not exit 0,
+save_index cuts SNAPSHOT back to the size IndexWriter recorded, or removes
+it if the run created it, and raises OSError, so SNAPSHOT is left as it was.
 
 A frame is a little-endian header of two uint32s, the id's UTF-8 length and
 the row's byte length, then the id and the row as float64 bytes in the
@@ -116,8 +116,10 @@ def load_index(path, threshold=None):
 
 
 def main(argv: list) -> int:
-    # A Ctrl-C stops synth, whose exit path still waits for this process.
+    # A Ctrl-C or a SIGTERM stops synth, whose exit path still waits for this
+    # process; a signal to the whole cgroup reaches it too.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     (snapshot_path,) = argv
     frames = sys.stdin.buffer
     with open(snapshot_path, "a+b") as out:

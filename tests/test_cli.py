@@ -584,7 +584,7 @@ MALFORMED_SAMPLES = [
     pytest.param(lambda record: {**record, "flesch_score": "high"},
                  "flesch_score must be of type float, got 'high'", id="float-field"),
     pytest.param(lambda record: {**record, "attempts_used": "2"},
-                 "attempts_used must be of type int, got '2'", id="int-field"),
+                 "attempts_used must be >= 1, got '2'", id="int-field"),
 ]
 
 
@@ -673,13 +673,9 @@ sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Slow()))
 """
 
 
-@pytest.mark.parametrize("inherited", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
-def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path, inherited):
-    """A real synth process, sent SIGINT as a terminal's Ctrl-C sends it to
-    the foreground process group, leaves samples.jsonl holding the log's
-    accepted samples and the index their ids, and --resume then writes what
-    an uninterrupted run writes."""
-    config = live_config(tmp_path)
+def stop_synth_midrun(config, stop, inherited=signal.SIG_DFL):
+    """Start a real synth process with SIGINT set to `inherited`, call stop(pid)
+    once it is mid-run, and return its exit status and stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -690,15 +686,19 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path, inherited):
     )
     try:
         assert proc.stdout.readline() == b"mid-run\n"
-        os.killpg(proc.pid, signal.SIGINT)
+        stop(proc.pid)
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == -signal.SIGINT, err.decode()
-    assert b"KeyboardInterrupt" in err
+    return proc.returncode, err
 
+
+def assert_resume_finishes(capsys, tmp_path, config):
+    """The stopped run in tmp_path/run holds the log's accepted samples in
+    samples.jsonl and their ids in the index, and --resume then writes what
+    an uninterrupted run writes."""
     run_dir = tmp_path / "run"
     assert not (run_dir / "manifest.json").exists()
     assert sorted(os.listdir(run_dir)) == ["index.tsv", "samples.jsonl", "traces.jsonl"]
@@ -718,6 +718,42 @@ def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path, inherited):
     assert code == 0
     for name in ("samples.jsonl", "index.tsv", "manifest.json"):
         assert (run_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("inherited", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+def test_ctrl_c_leaves_a_run_that_resume_finishes(capsys, tmp_path, inherited):
+    """SIGINT, sent as a terminal's Ctrl-C sends it to the foreground
+    process group."""
+    config = live_config(tmp_path)
+    status, err = stop_synth_midrun(
+        config, lambda pid: os.killpg(pid, signal.SIGINT), inherited)
+    assert status == -signal.SIGINT, err.decode()
+    assert b"KeyboardInterrupt" in err
+    assert_resume_finishes(capsys, tmp_path, config)
+
+
+def test_sigterm_leaves_a_run_that_resume_finishes(capsys, tmp_path):
+    """SIGTERM, sent to synth alone, as timeout and docker stop send it: synth
+    runs the same exit path as for a Ctrl-C, then dies by SIGTERM."""
+    config = live_config(tmp_path)
+    status, err = stop_synth_midrun(config, lambda pid: os.kill(pid, signal.SIGTERM))
+    assert status == -signal.SIGTERM, err.decode()
+    assert b"Traceback" not in err
+    handler = signal.getsignal(signal.SIGTERM)
+    assert_resume_finishes(capsys, tmp_path, config)
+    assert signal.getsignal(signal.SIGTERM) is handler  # restored after each in-process synth
+
+
+def test_synth_runs_off_the_main_thread(tmp_path):
+    """Only the main thread may set a signal handler; synth elsewhere keeps
+    SIGTERM's action as it is."""
+    config = write_dryrun_config(tmp_path)
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(
+        cli.main(["synth", "--config", str(config), "--dry-run", "--limit", "5"])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
 
 
 @pytest.mark.parametrize("damage, reason", MALFORMED_SAMPLES)

@@ -1,5 +1,6 @@
 """Config loading: YAML schema, env-name secrets, interpolation, validation."""
 
+import copy
 import dataclasses
 import math
 import os
@@ -8,6 +9,7 @@ import typing
 from pathlib import Path
 
 import pytest
+import yaml
 
 from convoforge import cli
 from convoforge.config import (
@@ -21,8 +23,8 @@ from convoforge.config import (
     RunProfiles,
     load_run_config,
 )
-from convoforge.gateway import GatewayConfig
-from convoforge.pipeline import PipelineConfig
+from convoforge.gateway import GatewayConfig, field_rules
+from convoforge.pipeline import PipelineConfig, QaSample
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -224,6 +226,117 @@ class TestNumericFields:
     @pytest.mark.parametrize("simplify", ["{question} {answer}", "{feedback}{question} {answer}"])
     def test_simplify_may_omit_the_feedback(self, simplify):
         assert PromptsConfig(simplify=simplify).simplify == simplify
+
+
+VALID_YAML = {
+    "pipeline": {},
+    "gateways": {"main": {"base_url": "https://example.invalid/v1", "api_key_env": "MAIN_GW_KEY"}},
+    "run": {"generation_profile": "main"},
+    "eval": {"models": [{"label": "base", "model": "chat-x", "system_prompt": "Answer."}]},
+    "paths": {"corpus": "corpus.jsonl"},
+    "prompts": {},
+}
+
+# Each dataclass whose fields declare rules: the fields a library caller
+# must pass, and for a config section, the mapping of VALID_YAML that holds
+# its keys and the section's name in load errors.
+RULED = {
+    PipelineConfig: ({}, lambda raw: raw["pipeline"], "pipeline section"),
+    GatewayConfig: (dict(base_url="u", api_key_env="K"),
+                    lambda raw: raw["gateways"]["main"], "gateway 'main'"),
+    RunProfiles: ({}, lambda raw: raw["run"], "run section"),
+    EvalConfig: ({}, lambda raw: raw["eval"], "eval section"),
+    EvalModelSpec: (dict(label="m", profile="p", model="x", system_prompt="s"),
+                    lambda raw: raw["eval"]["models"][0], "eval model #0"),
+    PathsConfig: ({}, lambda raw: raw["paths"], "paths section"),
+    PromptsConfig: ({}, lambda raw: raw["prompts"], "prompts section"),
+    QaSample: (dict(sample_id="qa-a", question="Q?", answer_original="A.",
+                    answer_simplified="A.", flesch_score=80.0, attempts_used=1,
+                    section_id="a"), None, None),
+}
+
+
+def step(number, kind, direction):
+    """The next value of `kind` past `number` towards `direction` (+1 or -1)."""
+    return number + direction if kind is int else math.nextafter(number, direction * math.inf)
+
+
+def broken_values(bound, kind) -> list:
+    """A value just past each end of `bound`, nan, and both infinities."""
+    below = bound.low if bound.open else step(bound.low, kind, -1)
+    above = [] if bound.high == math.inf else [step(bound.high, kind, +1)]
+    return [below, *above, math.nan, math.inf, -math.inf]
+
+
+def end_values(bound, kind) -> list:
+    """The values at each end of `bound` that it admits."""
+    low = step(bound.low, kind, +1) if bound.open else bound.low
+    return [low] + ([] if bound.high == math.inf else [bound.high])
+
+
+# The one text rule with its own message: it names system_prompt_preset.
+EMPTY_MESSAGES = {(EvalModelSpec, "system_prompt"): "a system prompt is required"}
+
+BROKEN = [
+    pytest.param(cls, name, value, f"{name} must be {bound}, got {value!r}",
+                 id=f"{cls.__name__}.{name}={value!r}")
+    for cls in RULED for name, _, kind, bound in field_rules(cls) if bound
+    for value in broken_values(bound, kind)
+] + [
+    pytest.param(cls, name, "", EMPTY_MESSAGES.get((cls, name), f"{name} must be non-empty"),
+                 id=f"{cls.__name__}.{name}=''")
+    for cls in RULED for name, _, kind, _ in field_rules(cls) if kind is str
+]
+
+
+class TestFieldRules:
+    """Each rule a field declares, checked from the dataclasses themselves."""
+
+    @pytest.mark.parametrize("cls, name, value, message", BROKEN)
+    def test_library_caller_gets_the_rule(self, cls, name, value, message):
+        required, _, _ = RULED[cls]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**{**required, name: value})
+
+    @pytest.mark.parametrize("cls, name, value", [
+        pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+        for cls in RULED for name, _, kind, bound in field_rules(cls) if bound
+        for value in end_values(bound, kind)
+    ])
+    def test_each_end_of_a_bound_is_admitted(self, cls, name, value):
+        required, _, _ = RULED[cls]
+        assert getattr(cls(**{**required, name: value}), name) == value
+
+    @pytest.mark.parametrize("cls, name, value, message",
+                             [p for p in BROKEN if RULED[p.values[0]][1]])
+    def test_config_file_exits_2_naming_the_key(self, tmp_path, capsys, cls, name, value, message):
+        _, keys, section = RULED[cls]
+        raw = copy.deepcopy(VALID_YAML)
+        keys(raw)[name] = value
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "run"
+        assert cli.main(["synth", "--config", str(path), "--dry-run", "--out", str(out)]) == 2
+        assert f"{section}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_shows_each_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "--help"])
+        out = capsys.readouterr().out
+        unshown = [(cls.__name__, name) for cls, (_, keys, _) in RULED.items() if keys
+                   for name, _, _, bound in field_rules(cls) if bound and not re.search(
+                       rf"^ +(- )?{name}: .*; {re.escape(str(bound))}( |$)", out, re.M)]
+        assert unshown == []
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_backoff_exits_2_before_any_call(self, tmp_path, capsys, value):
+        text = FULL_CONFIG.replace("    max_retries: 2\n",
+                                   f"    max_retries: 2\n    backoff_base: {value}\n")
+        connected = []
+        code = cli.main(["synth", "--config", str(write_config(tmp_path, text))],
+                        transport_factory=lambda *args: connected.append(args))
+        assert code == 2 and connected == []
+        assert "gateway 'main': backoff_base must be >= 0, got " in capsys.readouterr().err
 
 
 class TestSecrets:

@@ -384,16 +384,17 @@ class TestIndexWriter:
         assert loaded._rows[:4].tobytes() == rows.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
-    def test_ignores_sigint_in_a_session_of_its_own(self, tmp_path):
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_ignores_stop_signals_in_a_session_of_its_own(self, tmp_path, signum):
         path = tmp_path / "index.tsv"
         writer = IndexWriter(path)
         pid = writer._proc.pid
         assert os.getsid(pid) == pid
         deadline = time.monotonic() + 10
-        while not self.ignores_sigint(pid):  # until the child has set it up
-            assert time.monotonic() < deadline, "the writer never ignored SIGINT"
+        while not self.ignores(pid, signum):  # until the child has set it up
+            assert time.monotonic() < deadline, f"the writer never ignored {signum!r}"
             time.sleep(0.005)
-        os.kill(pid, signal.SIGINT)
+        os.kill(pid, signum)
         writer.append("a", vec(1.0, 0.0))
         save_index(writer)
         assert path.read_bytes() == b"a\t1.0 0.0\n"
@@ -412,10 +413,10 @@ class TestIndexWriter:
         assert not [name for name in imported if name.split(".")[0] in ("numpy", "convoforge")]
 
     @staticmethod
-    def ignores_sigint(pid) -> bool:
+    def ignores(pid, signum) -> bool:
         status = Path(f"/proc/{pid}/status").read_text(encoding="ascii")
         ignored = int(re.search(r"^SigIgn:\s*([0-9a-f]+)$", status, re.MULTILINE).group(1), 16)
-        return bool(ignored >> (signal.SIGINT - 1) & 1)
+        return bool(ignored >> (signum - 1) & 1)
 
 
 class TestFindViolations:
