@@ -42,6 +42,7 @@ from .pipeline import (
     INDEX_FILENAME,
     MANIFEST_FILENAME,
     PipelineConfig,
+    RUN_CONFIG_FILENAME,
     SAMPLES_FILENAME,
     TRACES_FILENAME,
     export_finetune_file,
@@ -66,7 +67,8 @@ EXIT_NETWORK = 4
 # export writes the validation split beside the fine-tuning file, and
 # refuses an --out that would overwrite it or a synth run's file.
 VALIDATION_FILENAME = "validation.jsonl"
-RUN_FILENAMES = (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME)
+RUN_FILENAMES = (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME,
+                 RUN_CONFIG_FILENAME)
 
 # Tests inject transports here: factory(profile_name, gateway_config).
 TransportFactory = Callable[[str, GatewayConfig], Transport]
@@ -262,13 +264,15 @@ def cmd_eval(args, transport_factory: Optional[TransportFactory]) -> int:
     if args.similarity:
         embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
         embed = _embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport)
+    models = []
+    for spec in selected:  # every transport first, so a missing key fails before any call
+        gateway, transport = _connect(cfg, spec.profile, transport_factory)
+        models.append((spec.system_prompt,
+                       _chat_fn(gateway, spec.model, spec.max_output_tokens, transport)))
 
     reports = []
-    for spec in selected:
-        gateway, transport = _connect(cfg, spec.profile, transport_factory)
-        chat = _chat_fn(gateway, spec.model, spec.max_output_tokens, transport)
-        responses = generate_responses(spec.system_prompt, samples, chat,
-                                       cfg.pipeline.concurrency_limit)
+    all_responses = generate_responses(models, samples, cfg.pipeline.concurrency_limit)
+    for spec, responses in zip(selected, all_responses, strict=True):
         report = build_report(
             spec.label, samples, responses, evaluation.threshold,
             embed=embed, training_set_size=spec.training_set_size,

@@ -4,12 +4,14 @@ Runs a model endpoint over the held-out validation questions and
 reports two numbers per model: the percentage of responses whose
 reading-ease score clears the conversational threshold (60 by default,
 inclusive) and the mean cosine similarity between each response and the
-expected answer. Each model's chat calls run through pipeline.ordered_map,
-so concurrency_limit also caps that model's calls in flight, while the
-responses keep sample order. A failed call (network or protocol) never
-aborts a run; its sample is excluded from the metrics with an explicit
-count, and any run with missing responses is flagged as incomplete. A
-rejected API key does abort it.
+expected answer. Every model's chat calls run at once, each model through
+its own pipeline.ordered_map, so concurrency_limit caps each model's calls
+in flight, while the responses keep sample order. Scoring runs after all
+replies are in, so it does not contend for the GIL with the calls. A failed
+call (network or protocol) never aborts a run; its sample is excluded from
+the metrics with an explicit count, and any run with missing responses is
+flagged as incomplete. A rejected API key does abort it: every model's
+queued calls are cancelled and their running ones joined.
 
 Quality outcomes that require GPU training or hosted fine-tuning jobs
 are out of desk-scale reach by nature; NOT_DESK_REPRODUCIBLE names
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -88,25 +91,40 @@ class EvalReport:
 
 
 def generate_responses(
-    system_prompt: str, samples: Sequence[QaSample], chat: ChatFn, limit: int = 1
-) -> list[Optional[str]]:
-    """One response per sample, in sample order, with at most `limit`
-    calls in flight; None marks a failed call."""
-    if not system_prompt:
+    models: Sequence[tuple[str, ChatFn]], samples: Sequence[QaSample], limit: int = 1
+) -> list[list[Optional[str]]]:
+    """Each (system_prompt, chat) model's responses, one per sample in sample
+    order; None marks a failed call.
+
+    Every model's calls run at once, each model with at most `limit` in
+    flight. The models' streams are drained round-robin, so a stream starts
+    once the one before it has yielded its first response. An error that
+    escapes one stream closes them all: queued calls are cancelled and
+    running ones joined.
+    """
+    if any(not system_prompt for system_prompt, _ in models):
         raise ValueError("system_prompt must be non-empty")
-    system = {"role": "system", "content": system_prompt}
     if not samples:
         raise ValueError("validation samples must be non-empty")
 
-    def respond(sample: QaSample) -> Optional[str]:
-        messages = [system, {"role": "user", "content": sample.question}]
-        try:
-            return chat(messages, EVAL_TEMPERATURE)
-        except (NetworkError, ProtocolError) as exc:
-            logger.warning("response for %s failed: %s", sample.sample_id, exc)
-            return None
+    def responder(system_prompt: str, chat: ChatFn):
+        system = {"role": "system", "content": system_prompt}
 
-    return list(ordered_map(respond, samples, limit))
+        def respond(sample: QaSample) -> Optional[str]:
+            messages = [system, {"role": "user", "content": sample.question}]
+            try:
+                return chat(messages, EVAL_TEMPERATURE)
+            except (NetworkError, ProtocolError) as exc:
+                logger.warning("response for %s failed: %s", sample.sample_id, exc)
+                return None
+
+        return respond
+
+    with ExitStack() as stack:
+        streams = [stack.enter_context(closing(ordered_map(responder(*model), samples, limit)))
+                   for model in models]
+        rows = zip(*streams, strict=True)  # one sample's responses per row, model after model
+        return [list(responses) for responses in zip(*rows)]
 
 
 def pct_conversational(records: Sequence[EvalRecord]) -> float:

@@ -58,6 +58,15 @@ SAMPLES_FILENAME = "samples.jsonl"
 TRACES_FILENAME = "traces.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 INDEX_FILENAME = "index.tsv"
+RUN_CONFIG_FILENAME = "run_config.json"
+
+# The settings that decide what a run makes, recorded in run_config.json.
+# target_samples, concurrency_limit, validation_size and subset_sizes decide
+# how far and how fast a run goes, or what export makes of it, so a --resume
+# may change them.
+_RECORDED_FIELDS = ("generation_model", "embedding_model", "min_section_chars",
+                    "accept_threshold", "max_attempts", "dedup_threshold", "random_seed",
+                    "generation_temperature", "max_output_tokens")
 
 # Signature of the chat seam: (messages, temperature) -> assistant text.
 ChatFn = Callable[[Sequence[dict], float], str]
@@ -451,6 +460,22 @@ def _load_resume_state(out_dir: Path, config: PipelineConfig):
     return consumed, counts, index
 
 
+def _check_run_config(out_dir: Path, run_config: dict) -> None:
+    """Refuse (ValueError) to resume a run that recorded no settings, or
+    other settings than run_config, naming each setting that differs."""
+    path = out_dir / RUN_CONFIG_FILENAME
+    if not path.exists():
+        raise ValueError(f"{out_dir}: cannot resume: {RUN_CONFIG_FILENAME}, which records "
+                         "the settings the run started under, is missing")
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    changed = [key for key, value in run_config.items() if recorded.get(key) != value]
+    if changed:
+        raise ValueError(f"{out_dir}: cannot resume: the run started under another "
+                         f"{', '.join(changed)} (see {RUN_CONFIG_FILENAME})")
+
+
 def run_pipeline(
     config: PipelineConfig,
     records: Iterable[Mapping],
@@ -470,14 +495,22 @@ def run_pipeline(
     With resume=True, consumed sections are skipped and the log and index
     are extended; otherwise samples, traces and index are deleted first.
     Every exit after that rewrites samples.jsonl from the log, and only a
-    finished run writes manifest.json, which every run first deletes.
+    finished run writes manifest.json, which every run first deletes. A
+    fresh run records the settings that decide its outputs in
+    run_config.json, and resume=True refuses other settings before any file
+    is touched.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not resume:
+    run_config = {f"pipeline.{name}": getattr(config, name) for name in _RECORDED_FIELDS}
+    run_config.update({"prompts.qa_generation": qa_template, "prompts.simplify": simplify_template})
+    if resume:
+        _check_run_config(out_dir, run_config)
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME):
             (out_dir / name).unlink(missing_ok=True)
+        write_atomic(out_dir / RUN_CONFIG_FILENAME, [json.dumps(run_config, indent=2), "\n"])
     consumed, counts, index = _load_resume_state(out_dir, config)
     (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
     sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]

@@ -295,7 +295,7 @@ def test_criterion_8_gpu_outcomes_declared_not_reproduced():
         for _ in samples
     ])
     chat = _chat_fn(gateway, "ft-model", 512, transport)
-    responses = generate_responses(CONCISE_FINETUNE_PROMPT, samples, chat)
+    responses = generate_responses([(CONCISE_FINETUNE_PROMPT, chat)], samples)[0]
     report = build_report("finetuned-checkpoint", samples, responses)
     assert report.complete_run
     assert report.pct_conversational == 100.0

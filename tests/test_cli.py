@@ -7,6 +7,8 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,8 @@ import convoforge.pipeline as pipeline_module
 from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
 from convoforge.config import ConfigError, load_run_config
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
-from convoforge.pipeline import PipelineConfig, ingest_corpus, read_corpus_file
+from convoforge.pipeline import (
+    _AHEAD, PipelineConfig, ingest_corpus, load_samples, read_corpus_file)
 from convoforge.simulate import SimulatedModelTransport
 from convoforge.snapshot import IndexWriter, load_index
 
@@ -172,7 +175,7 @@ REJECTED_SETTINGS = [
                    id=f"accept_threshold={value}")
       for value in (float("nan"), 500, -5)),
 ]
-ARTIFACTS = ("samples.jsonl", "traces.jsonl", "index.tsv", "manifest.json")
+ARTIFACTS = ("samples.jsonl", "traces.jsonl", "index.tsv", "manifest.json", "run_config.json")
 
 
 class TestSynthErrors:
@@ -571,6 +574,61 @@ class TestResume:
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
         assert not (run_dir / "samples.jsonl.tmp").exists()
 
+    @pytest.mark.parametrize("limit", [None, 20], ids=["finished", "limited"])
+    @pytest.mark.parametrize("old, new, named", [
+        ("random_seed: 1234", "random_seed: 99", "pipeline.random_seed"),
+        ("random_seed: 1234", "random_seed: 1234\n  dedup_threshold: 0.5\n"
+         "prompts:\n  simplify: 'Say {answer} to {question} simply.{feedback}'",
+         "pipeline.dedup_threshold, prompts.simplify"),
+    ], ids=["seed", "threshold-and-template"])
+    def test_resume_refuses_settings_that_change_what_the_run_makes(
+        self, capsys, tmp_path, limit, old, new, named
+    ):
+        config = write_dryrun_config(tmp_path)
+        limited = [] if limit is None else ["--limit", str(limit)]
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", *limited)
+        assert code == 0
+        run_dir = tmp_path / "run"
+        before = {name: path.read_bytes() for name in ARTIFACTS
+                  if (path := run_dir / name).exists()}
+        config.write_text(config.read_text("utf-8").replace(old, new), encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 3
+        assert f"cannot resume: the run started under another {named} (see run_config.json)" in err
+        assert {name: path.read_bytes() for name in ARTIFACTS
+                if (path := run_dir / name).exists()} == before
+
+    @pytest.mark.parametrize("limit", [None, 20], ids=["finished", "limited"])
+    def test_resume_under_another_target_finishes(self, capsys, tmp_path, limit):
+        config = write_dryrun_config(tmp_path)
+        limited = [] if limit is None else ["--limit", str(limit)]
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", *limited)
+        assert code == 0
+        config.write_text(config.read_text("utf-8").replace(
+            "pipeline:\n", "pipeline:\n  target_samples: 20000\n  concurrency_limit: 3\n"
+                           "  validation_size: 10\n  subset_sizes: [5]\n"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert "samples: 42" in out
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
+                             "--out", str(tmp_path / "whole"))
+        assert code == 0
+        for name in ("samples.jsonl", "index.tsv", "manifest.json", "run_config.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "whole" / name).read_bytes(), name
+
+    def test_resume_refuses_a_run_without_its_settings_record(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        (run_dir / "run_config.json").unlink()
+        before = {name: path.read_bytes() for name in ARTIFACTS
+                  if (path := run_dir / name).exists()}
+        config = write_dryrun_config(synthesized_run)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 3
+        assert "cannot resume: run_config.json, which records the settings" in err
+        assert {name: path.read_bytes() for name in ARTIFACTS
+                if (path := run_dir / name).exists()} == before
+
 
 # Each case: a sample record made into one that is not, and the reason its
 # error must give after path:line.
@@ -636,7 +694,7 @@ class TestIndexWriterFailure:
         status = -signal.SIGKILL if failure == "killed" else 3
         assert f"error: index writer exited with status {status}" in err
         assert index.read_bytes() == before
-        assert sorted(os.listdir(tmp_path / "run")) == ["index.tsv", "samples.jsonl", "traces.jsonl"]
+        assert sorted(os.listdir(tmp_path / "run")) == ["index.tsv", "run_config.json", "samples.jsonl", "traces.jsonl"]
         assert not (tmp_path / "run" / "manifest.json").exists()
         assert len(writers) == 1 and writers[0]._proc.returncode == status  # reaped
         # samples.jsonl is rebuilt from the log although the index save raised.
@@ -701,7 +759,7 @@ def assert_resume_finishes(capsys, tmp_path, config):
     an uninterrupted run writes."""
     run_dir = tmp_path / "run"
     assert not (run_dir / "manifest.json").exists()
-    assert sorted(os.listdir(run_dir)) == ["index.tsv", "samples.jsonl", "traces.jsonl"]
+    assert sorted(os.listdir(run_dir)) == ["index.tsv", "run_config.json", "samples.jsonl", "traces.jsonl"]
     traces = read_corpus_file(run_dir / "traces.jsonl")
     samples = [t["sample"] for t in traces if t["outcome"] == "accepted"]
     assert read_corpus_file(run_dir / "samples.jsonl") == samples
@@ -845,7 +903,8 @@ class TestEval:
         # each chat request carries its model's id, token cap and eval temperature
         chats = [payload for path, payload in sim.requests if path == CHAT_PATH]
         max_tokens = {"sim-chat": 512, "sim-chat-ft": 256}
-        assert [p["model"] for p in chats] == ["sim-chat"] * 42 + ["sim-chat-ft"] * 42
+        models = [p["model"] for p in chats]
+        assert (models.count("sim-chat"), models.count("sim-chat-ft"), len(models)) == (42, 42, 84)
         for payload in chats:
             assert payload["max_tokens"] == max_tokens[payload["model"]]
             assert payload["temperature"] == 0.0
@@ -978,6 +1037,161 @@ class TestEval:
         assert "llama-finetuned: 97.4% conversational (1000 samples)" in out
         aggregate = (tmp_path / "out" / "eval" / "aggregate.csv").read_text("utf-8")
         assert "llama-finetuned,,97.4," in aggregate
+
+
+def two_profile_eval_config(run_dir, limit=8):
+    """eval_config_text with the `tuned` model on a second profile, `other`,
+    whose key variable is OTHER_EVAL_KEY, at concurrency_limit `limit`."""
+    text = eval_config_text(run_dir).replace(
+        "pipeline:\n", f"pipeline:\n  concurrency_limit: {limit}\n"
+    ).replace(
+        "run:\n", "  other:\n    base_url: https://other.invalid\n"
+                  "    api_key_env: OTHER_EVAL_KEY\nrun:\n"
+    ).replace("profile: sim\n      model: sim-chat-ft\n", "profile: other\n      model: sim-chat-ft\n")
+    path = run_dir / f"eval-two-profiles-{limit}.yaml"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class InFlightByModel(SimulatedModelTransport):
+    """Serves posts from the simulator after a short wait, and records the
+    most calls in flight at once for each model id."""
+
+    def __init__(self):
+        self.in_flight = Counter()
+        self.peak = Counter()
+        self._lock = threading.Lock()
+
+    def post(self, path, payload):
+        model = payload["model"]
+        with self._lock:
+            self.in_flight[model] += 1
+            self.peak[model] = max(self.peak[model], self.in_flight[model])
+        try:
+            time.sleep(0.002)
+            return super().post(path, payload)
+        finally:
+            with self._lock:
+                self.in_flight[model] -= 1
+
+
+class TestEvalModelsAtOnce:
+    def test_the_second_model_calls_while_the_first_is_still_calling(
+        self, capsys, synthesized_run
+    ):
+        # The second model's stream starts once the first model's first reply
+        # has been taken, so the first model's second call, already running
+        # then, can wait for it. Run one model after the other, it times out.
+        config = two_profile_eval_config(synthesized_run, limit=1)
+        second_started = threading.Event()
+        second_question = load_samples(synthesized_run / "run" / "samples.jsonl")[1].question
+        waits = []
+
+        class First(SimulatedModelTransport):
+            def post(self, path, payload):
+                if payload["messages"][-1]["content"] == second_question:
+                    waits.append(second_started.wait(timeout=5))
+                return super().post(path, payload)
+
+        class Second(SimulatedModelTransport):
+            def post(self, path, payload):
+                second_started.set()
+                return super().post(path, payload)
+
+        transports = {"sim": First(), "other": Second()}
+        code, out, _ = run_cli(capsys, "eval", "--config", str(config),
+                               transport_factory=lambda profile, gw: transports[profile])
+        assert code == 0
+        assert waits == [True]
+        assert out.index("base:") < out.index("tuned:")
+
+    def test_each_model_keeps_its_limit_and_the_reports_their_bytes(
+        self, capsys, synthesized_run
+    ):
+        capsys.readouterr()  # the fixture's synth output
+        reports = {}
+        for limit in (1, 3):
+            config = two_profile_eval_config(synthesized_run, limit=limit)
+            out_dir = synthesized_run / f"eval-{limit}"
+            transport = InFlightByModel()
+            code, out, _ = run_cli(capsys, "eval", "--config", str(config), "--similarity",
+                                   "--out", str(out_dir),
+                                   transport_factory=lambda profile, gw: transport)
+            assert code == 0
+            assert set(transport.peak) == {"sim-chat", "sim-chat-ft", "sim-embed"}
+            assert max(transport.peak.values()) <= limit
+            reports[limit] = out, {name: (out_dir / name).read_bytes()
+                                   for name in ("report.json", "records.csv", "aggregate.csv")}
+        assert reports[3][0].replace("eval-3", "eval-1") == reports[1][0]
+        assert reports[3][1] == reports[1][1]
+
+    def test_a_missing_key_on_the_second_model_fails_before_any_call(
+        self, capsys, synthesized_run, monkeypatch
+    ):
+        monkeypatch.delenv("OTHER_EVAL_KEY", raising=False)
+        config = two_profile_eval_config(synthesized_run)
+        sim = RecordingTransport()  # serves the first model and the embeddings
+
+        def factory(profile, gw):
+            if profile == "other":
+                return cli.HttpTransport(gw)  # resolves the key, as a live run does
+            return sim
+
+        code, _, err = run_cli(capsys, "eval", "--config", str(config), "--similarity",
+                               transport_factory=factory)
+        assert code == 2
+        assert "OTHER_EVAL_KEY" in err
+        assert sim.requests == []
+        assert not (synthesized_run / "run" / "eval").exists()
+
+    def test_a_rejected_key_on_the_second_model_stops_the_first(self, capsys, synthesized_run):
+        limit = 4
+        config = two_profile_eval_config(synthesized_run, limit=limit)
+        healthy, revoked = RecordingTransport(), KeyRejectedOn(CHAT_PATH)
+        transports = {"sim": healthy, "other": revoked}
+        code, _, err = run_cli(capsys, "eval", "--config", str(config),
+                               transport_factory=lambda profile, gw: transports[profile])
+        assert code == 4
+        assert "HTTP 401" in err
+        assert 1 <= revoked.rejected <= limit
+        assert 1 <= len(healthy.requests) <= _AHEAD * limit < 42
+        assert not (synthesized_run / "run" / "eval").exists()
+
+    def test_a_rejected_key_on_the_first_model_stops_the_second_before_any_call(
+        self, capsys, synthesized_run
+    ):
+        config = two_profile_eval_config(synthesized_run)
+        revoked, healthy = KeyRejectedOn(CHAT_PATH), RecordingTransport()
+        transports = {"sim": revoked, "other": healthy}
+        code, _, err = run_cli(capsys, "eval", "--config", str(config),
+                               transport_factory=lambda profile, gw: transports[profile])
+        assert code == 4
+        assert "HTTP 401" in err
+        assert revoked.rejected >= 1
+        assert healthy.requests == []
+        assert not (synthesized_run / "run" / "eval").exists()
+
+    def test_eval_generates_through_one_generate_responses_call_before_any_post(
+        self, capsys, synthesized_run, monkeypatch
+    ):
+        # perfbench stamps eval-replay's setup_s on the first call of this name
+        # on cli, and its tracer wraps it there as evalharness.generate.
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        sim = RecordingTransport()
+        posts_at_call = []
+        generate = cli.generate_responses
+
+        def recorded(*args, **kwargs):
+            posts_at_call.append(len(sim.requests))
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_responses", recorded)
+        code, _, _ = run_cli(capsys, "eval", "--config", str(config), "--similarity",
+                             transport_factory=lambda profile, gw: sim)
+        assert code == 0
+        assert posts_at_call == [0]
+        assert len(sim.requests) > 0
 
 
 # sha256 of each artifact of the 50-section dry run and of its eval with

@@ -110,7 +110,7 @@ class TestGenerateResponses:
     def test_responses_stay_in_sample_order(self):
         samples = make_samples(3)
         transport = ScriptedTransport([chat_step(f"reply {i}") for i in range(3)])
-        responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
+        responses = generate_responses([(SYSTEM_PROMPT, chat_over(transport))], samples)[0]
         assert responses == ["reply 0", "reply 1", "reply 2"]
         # every request carries the system prompt and eval decoding temperature
         for _, payload in transport.requests:
@@ -124,17 +124,17 @@ class TestGenerateResponses:
             {"status": 500, "body": "broken"},
             chat_step("ok three"),
         ])
-        responses = generate_responses(SYSTEM_PROMPT, samples, chat_over(transport))
+        responses = generate_responses([(SYSTEM_PROMPT, chat_over(transport))], samples)[0]
         assert responses == ["ok one", None, "ok three"]
 
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            generate_responses(SYSTEM_PROMPT, [], chat_over(ScriptedTransport([])))
+            generate_responses([(SYSTEM_PROMPT, chat_over(ScriptedTransport([])))], [])[0]
 
     def test_empty_system_prompt_rejected_before_any_call(self):
         transport = ScriptedTransport([chat_step("unused")])
         with pytest.raises(ValueError, match="system"):
-            generate_responses("", make_samples(1), chat_over(transport))
+            generate_responses([("", chat_over(transport))], make_samples(1))[0]
         assert transport.requests == []
 
 
@@ -163,7 +163,7 @@ class TestConcurrentResponses:
                 head_waits.append(others_running.wait(timeout=5))
             return reply_to(question)
 
-        responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=limit)
+        responses = generate_responses([(SYSTEM_PROMPT, chat)], samples, limit=limit)[0]
         assert head_waits == [True]
         assert responses == [reply_to(s.question) for s in samples]
 
@@ -184,7 +184,7 @@ class TestConcurrentResponses:
                 raise NetworkError("injected embedding failure")
             return fake_embed_identical(texts)
 
-        responses = generate_responses(SYSTEM_PROMPT, samples, chat, limit=8)
+        responses = generate_responses([(SYSTEM_PROMPT, chat)], samples, limit=8)[0]
         assert {s.sample_id for s, reply in zip(samples, responses) if reply is None} == failing
         report = build_report("m", samples, responses, embed=flaky_embed)
         assert report.missing_count == len(failing)
@@ -223,7 +223,7 @@ class TestConcurrentResponses:
                     in_flight[0] -= 1
 
         with pytest.raises(RuntimeError, match="injected chat fault"):
-            generate_responses(SYSTEM_PROMPT, samples, chat, limit=limit)
+            generate_responses([(SYSTEM_PROMPT, chat)], samples, limit=limit)[0]
         assert in_flight[0] == 0
         assert {failing, failing + 1} <= started
         assert max(started) <= failing + _AHEAD * limit
