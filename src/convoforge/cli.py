@@ -310,14 +310,15 @@ def cmd_export(args) -> int:
     splits = split_dataset(samples, cfg.pipeline)
     out = Path(args.out) if args.out else Path(cfg.paths.output_dir) / f"finetune-{args.size}.jsonl"
     validation = out.parent / VALIDATION_FILENAME
-    if out.name in (VALIDATION_FILENAME, *RUN_FILENAMES):
+    if out.name in (VALIDATION_FILENAME, f"{VALIDATION_FILENAME}.tmp", *RUN_FILENAMES):
         raise ValueError(f"--out {out}: export writes no file named {out.name}, since it would "
                          "overwrite a synth run's file or would be overwritten by the validation split")
     if Path(dataset).resolve() in (out.resolve(), validation.resolve()):
         raise ValueError(f"--out {out}: export would overwrite the dataset {dataset}")
-    count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
-    write_atomic(validation, (json.dumps(asdict(s), ensure_ascii=False) + "\n"
-                              for s in splits.validation))
+    # Nested: the pair keeps validation apart from training, so a failed write leaves both.
+    with write_atomic(validation) as fh:
+        fh.writelines(json.dumps(asdict(s), ensure_ascii=False) + "\n" for s in splits.validation)
+        count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
     print(f"wrote {count} records to {out}")
     print(f"wrote {len(splits.validation)} validation records to {validation}")
     return EXIT_OK

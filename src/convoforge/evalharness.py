@@ -33,7 +33,7 @@ from .dedup import cosine_similarity
 from .gateway import NetworkError, ProtocolError
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
 from .gateway import complete_chat, embed_texts  # noqa: F401
-from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
+from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map, write_atomic
 from .textmetrics import (
     CONVERSATIONAL_THRESHOLD,
     UnscorableTextError,
@@ -219,42 +219,38 @@ def build_report(
 
 
 def emit_report(reports: Sequence[EvalReport], directory) -> dict[str, Path]:
-    """Write report.json, records.csv, and aggregate.csv under directory."""
-    if not reports:
-        raise ValueError("no reports to emit")
+    """Write report.json, records.csv, and aggregate.csv under directory;
+    none replaces its old file unless all three were written."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     paths = {
         "json": directory / REPORT_JSON,
         "records": directory / RECORDS_CSV,
         "aggregate": directory / AGGREGATE_CSV,
     }
-    with open(paths["json"], "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
-    with open(paths["records"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    with write_atomic(paths["json"]) as json_fh, \
+            write_atomic(paths["records"]) as records_fh, \
+            write_atomic(paths["aggregate"]) as aggregate_fh:
+        json.dump([r.to_dict() for r in reports], json_fh, indent=2)
+        json_fh.write("\n")
+        records, aggregate = csv.writer(records_fh), csv.writer(aggregate_fh)
+        records.writerow(
             ["model_label", "sample_id", "flesch_score", "is_conversational", "semantic_similarity"]
+        )
+        aggregate.writerow(
+            ["model", "training_set_size", "pct_conversational", "mean_semantic_similarity"]
         )
         for report in reports:
             for r in report.records:
                 sim = "" if r.semantic_similarity is None else f"{r.semantic_similarity:.6f}"
-                writer.writerow(
+                records.writerow(
                     [report.model_label, r.sample_id, repr(r.flesch_score),
                      str(r.is_conversational).lower(), sim]
                 )
-    with open(paths["aggregate"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "training_set_size", "pct_conversational", "mean_semantic_similarity"]
-        )
-        for report in reports:
             size = "" if report.training_set_size is None else str(report.training_set_size)
             sim = (
                 ""
                 if report.mean_semantic_similarity is None
                 else f"{report.mean_semantic_similarity:.6f}"
             )
-            writer.writerow([report.model_label, size, f"{report.pct_conversational:.1f}", sim])
+            aggregate.writerow([report.model_label, size, f"{report.pct_conversational:.1f}", sim])
     return paths

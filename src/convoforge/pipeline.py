@@ -35,12 +35,12 @@ import os
 import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -410,11 +410,19 @@ def load_samples(path) -> list[QaSample]:
     return samples
 
 
-def write_atomic(path, chunks: Iterable[str]) -> None:
-    """Write chunks to path atomically, through path.tmp and os.replace."""
-    with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(f"{path}.tmp", path)
+@contextmanager
+def write_atomic(path) -> Iterator[TextIO]:
+    """Yield a text file at path.tmp, making path's directory, and move it
+    onto path when the block ends; no fsync, so not across a power loss."""
+    tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except BaseException:  # KeyboardInterrupt too: path stays as it was
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
@@ -507,10 +515,11 @@ def run_pipeline(
     if resume:
         _check_run_config(out_dir, run_config)
     else:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for name in (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME):
             (out_dir / name).unlink(missing_ok=True)
-        write_atomic(out_dir / RUN_CONFIG_FILENAME, [json.dumps(run_config, indent=2), "\n"])
+        with write_atomic(out_dir / RUN_CONFIG_FILENAME) as fh:
+            json.dump(run_config, fh, indent=2)
+            fh.write("\n")
     consumed, counts, index = _load_resume_state(out_dir, config)
     (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
     sections = [s for s in ingest.sections[:limit] if s.section_id not in consumed]
@@ -546,9 +555,9 @@ def run_pipeline(
             save_index(writer)
         finally:  # samples.jsonl is the log's accepted samples
             log = (r for _, r in _numbered_records(out_dir / TRACES_FILENAME))
-            samples = (json.dumps(r["sample"], ensure_ascii=False) + "\n"
-                       for r in log if r["outcome"] == "accepted")
-            write_atomic(out_dir / SAMPLES_FILENAME, samples)
+            with write_atomic(out_dir / SAMPLES_FILENAME) as fh:
+                fh.writelines(json.dumps(r["sample"], ensure_ascii=False) + "\n"
+                              for r in log if r["outcome"] == "accepted")
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:
@@ -565,7 +574,9 @@ def run_pipeline(
         "sample_count": counts["accepted"],
         "shortfall": shortfall,
     }
-    write_atomic(out_dir / MANIFEST_FILENAME, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    with write_atomic(out_dir / MANIFEST_FILENAME) as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest
 
 
@@ -604,20 +615,10 @@ def export_finetune_file(split: Sequence[QaSample], system_prompt: str, path) ->
     Each record carries exactly three messages: the system prompt, the
     question, and the simplified answer. Returns the record count.
     """
-    if not split:
-        raise ValueError("cannot export an empty split")
-    if not system_prompt:
-        raise ValueError("system_prompt must be non-empty")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for sample in split:
-            record = {
-                "messages": [
-                    {"role": "system", "content": system_prompt},
-                    {"role": "user", "content": sample.question},
-                    {"role": "assistant", "content": sample.answer_simplified},
-                ]
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            messages = [{"role": "system", "content": system_prompt},
+                        {"role": "user", "content": sample.question},
+                        {"role": "assistant", "content": sample.answer_simplified}]
+            fh.write(json.dumps({"messages": messages}, ensure_ascii=False) + "\n")
     return len(split)

@@ -13,15 +13,16 @@ the run sends it each entry as the entry is accepted, so the run never
 formats its whole index at the end. The child imports only the standard
 library, so it starts in tens of milliseconds and never loads numpy; this
 module's top level must stay that way. The child opens SNAPSHOT for
-appending, on a fresh run (which has deleted it) and a --resume alike,
-first ending a last line that lacks its newline; then it appends one line
-per frame and exits 0 at the end of its input, so a live run's SNAPSHOT can
-end in a torn line. It runs in its own session and ignores SIGINT and
-SIGTERM, so a Ctrl-C or a SIGTERM that stops synth leaves it running until
-save_index, which every exit from the run calls, waits for it; a killed
-synth leaves it to drain the pipe and exit. If the child does not exit 0,
-save_index cuts SNAPSHOT back to the size IndexWriter recorded, or removes
-it if the run created it, and raises OSError, so SNAPSHOT is left as it was.
+appending, on a fresh run (which has deleted it) and a --resume (which has
+loaded it, so it ends in a newline) alike; then it appends one line per frame
+and exits 0 at the end of its input, so a live run's SNAPSHOT can end in a
+torn line, which load_index refuses. It runs in its own session and ignores
+SIGINT and SIGTERM, so a Ctrl-C or a SIGTERM that stops synth leaves it
+running until save_index, which every exit from the run calls, waits for it;
+a killed synth leaves it to drain the pipe and exit. If the child does not
+exit 0, save_index cuts SNAPSHOT back to the size IndexWriter recorded, or
+removes it if the run created it, and raises OSError, so SNAPSHOT is left as
+it was.
 
 A frame is a little-endian header of two uint32s, the id's UTF-8 length and
 the row's byte length, then the id and the row as float64 bytes in the
@@ -94,17 +95,19 @@ def save_index(writer: IndexWriter) -> None:
 
 def load_index(path, threshold=None):
     """A dedup.QuestionIndex of the snapshot at path, at threshold (None:
-    dedup.DEDUP_THRESHOLD); errors name the file and line."""
+    dedup.DEDUP_THRESHOLD); errors, a torn last line among them, name the
+    file and line."""
     from .dedup import DEDUP_THRESHOLD, QuestionIndex, embedding_matrix
 
     index = QuestionIndex(DEDUP_THRESHOLD if threshold is None else threshold)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if not line.endswith("\n"):  # torn: its last number may be cut short
+                raise ValueError(f"{path}:{line_no}: index line lacks its newline")
+            if line == "\n":
                 continue
             try:
-                sample_id, decimals = line.split("\t")
+                sample_id, decimals = line[:-1].split("\t")
                 (row,) = embedding_matrix([decimals.split(" ")])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed index line") from exc
@@ -122,11 +125,7 @@ def main(argv: list) -> int:
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     (snapshot_path,) = argv
     frames = sys.stdin.buffer
-    with open(snapshot_path, "a+b") as out:
-        if out.tell():
-            out.seek(-1, os.SEEK_END)
-            if out.read(1) != b"\n":
-                out.write(b"\n")
+    with open(snapshot_path, "ab") as out:
         while header := frames.read(HEADER.size):
             id_size, row_size = HEADER.unpack(header)  # raises on a cut header
             body = frames.read(id_size + row_size)

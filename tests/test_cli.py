@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, dry runs, network isolation."""
 
+import errno
 import hashlib
 import json
 import os
@@ -30,6 +31,47 @@ def run_cli(capsys, *argv, transport_factory=None):
     code = cli.main(list(argv), transport_factory=transport_factory)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_writes_to(monkeypatch, name, after, error):
+    """Make a file named name, or name.tmp, that is opened for writing raise
+    error at its write after `after` writes, as a disk that fills up would."""
+    real_open = open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            if self.writes == after:
+                raise error
+            self.writes += 1
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self.fh.__exit__(*exc_info)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        failing = "w" in mode and os.path.basename(str(file)) in (name, f"{name}.tmp")
+        return Failing(fh) if failing else fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+
+
+def disk_full():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def tmp_files(directory):
+    return sorted(str(path) for path in Path(directory).rglob("*.tmp"))
 
 
 def write_dryrun_config(tmp_path, **extra_paths):
@@ -574,6 +616,36 @@ class TestResume:
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
         assert not (run_dir / "samples.jsonl.tmp").exists()
 
+    def test_an_interrupt_in_the_samples_rebuild_leaves_no_tmp_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        config = write_dryrun_config(tmp_path)
+        with monkeypatch.context() as patch:
+            fail_writes_to(patch, "samples.jsonl", 10, KeyboardInterrupt())
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["synth", "--config", str(config), "--dry-run"])
+        assert tmp_files(tmp_path) == []
+        assert not (tmp_path / "run" / "samples.jsonl").exists()
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        for name in ("run/samples.jsonl", "run/index.tsv", "run/manifest.json"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == GOLDEN_SHA256[name], name
+        assert tmp_files(tmp_path) == []
+
+    def test_resume_refuses_a_torn_last_index_line(self, capsys, synthesized_run):
+        # As a killed writer leaves it: the last number could load cut short.
+        run_dir = synthesized_run / "run"
+        index = run_dir / "index.tsv"
+        index.write_bytes(index.read_bytes()[:-3])
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        config = write_dryrun_config(synthesized_run)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 3
+        assert f"{index}:42: index line lacks its newline" in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+        assert sorted(os.listdir(run_dir)) == sorted(ARTIFACTS)
+
     @pytest.mark.parametrize("limit", [None, 20], ids=["finished", "limited"])
     @pytest.mark.parametrize("old, new, named", [
         ("random_seed: 1234", "random_seed: 99", "pipeline.random_seed"),
@@ -932,6 +1004,36 @@ class TestEval:
             }
         assert reports[1] == reports[8]
 
+    def test_a_failed_report_write_leaves_all_three_as_they_were(
+        self, capsys, synthesized_run, monkeypatch
+    ):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        sim = SimulatedModelTransport()
+        code, _, _ = run_cli(capsys, "eval", "--config", str(config),
+                             transport_factory=lambda profile, gw: sim)
+        assert code == 0
+        eval_dir = synthesized_run / "run" / "eval"
+        names = ("report.json", "records.csv", "aggregate.csv")
+        before = {name: (eval_dir / name).read_bytes() for name in names}
+        fail_writes_to(monkeypatch, "records.csv", 3, disk_full())
+        # --similarity changes all three files, had they been replaced.
+        code, _, err = run_cli(capsys, "eval", "--config", str(config), "--similarity",
+                               transport_factory=lambda profile, gw: sim)
+        assert code == 1
+        assert "No space left on device" in err
+        assert {name: (eval_dir / name).read_bytes() for name in names} == before
+        assert tmp_files(synthesized_run) == []
+
+    def test_makes_a_report_directory_that_does_not_exist_yet(self, capsys, synthesized_run):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        out_dir = synthesized_run / "new" / "eval"
+        code, _, _ = run_cli(capsys, "eval", "--config", str(config), "--out", str(out_dir),
+                             transport_factory=lambda profile, gw: SimulatedModelTransport())
+        assert code == 0
+        assert sorted(os.listdir(out_dir)) == ["aggregate.csv", "records.csv", "report.json"]
+
     def test_model_flag_controls_row_order(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"
         config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
@@ -1252,6 +1354,35 @@ class TestExport:
         for record in records:
             assert [m["role"] for m in record["messages"]] == ["system", "user", "assistant"]
 
+    @pytest.mark.parametrize("name, after", [("finetune-20.jsonl", 5), ("validation.jsonl", 3)],
+                             ids=["fine-tuning file", "validation split"])
+    def test_a_failed_write_leaves_both_files_as_they_were(
+        self, capsys, synthesized_run, monkeypatch, name, after
+    ):
+        config = self.export_config(synthesized_run)
+        code, _, _ = run_cli(capsys, "export", "--config", str(config), "--size", "20")
+        assert code == 0
+        run_dir = synthesized_run / "run"
+        names = ("finetune-20.jsonl", "validation.jsonl")
+        before = {written: (run_dir / written).read_bytes() for written in names}
+        # Another seed draws other splits, so a replaced file would differ.
+        config.write_text(config.read_text("utf-8").replace(
+            "pipeline:\n", "pipeline:\n  random_seed: 7\n"), encoding="utf-8")
+        fail_writes_to(monkeypatch, name, after, disk_full())
+        code, out, err = run_cli(capsys, "export", "--config", str(config), "--size", "20")
+        assert code == 1
+        assert "No space left on device" in err and out == ""
+        assert {written: (run_dir / written).read_bytes() for written in names} == before
+        assert tmp_files(synthesized_run) == []
+
+    def test_makes_an_out_directory_that_does_not_exist_yet(self, capsys, synthesized_run):
+        config = self.export_config(synthesized_run)
+        out_path = synthesized_run / "new" / "dir" / "train-5.jsonl"
+        code, _, _ = run_cli(capsys, "export", "--config", str(config), "--size", "5",
+                             "--out", str(out_path))
+        assert code == 0
+        assert sorted(os.listdir(out_path.parent)) == ["train-5.jsonl", "validation.jsonl"]
+
     def test_unknown_size_lists_the_valid_ones(self, capsys, synthesized_run):
         config = self.export_config(synthesized_run)
         code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "7")
@@ -1337,6 +1468,18 @@ class TestExport:
         assert "would be overwritten by the validation split" in err
         assert not out_path.exists()
 
+    def test_out_named_like_the_validation_splits_tmp_file_is_refused(
+        self, capsys, synthesized_run
+    ):
+        # Accepted, it would be moved onto validation.jsonl, training records and all.
+        config = self.export_config(synthesized_run)
+        out_path = synthesized_run / "validation.jsonl.tmp"
+        code, _, err = run_cli(capsys, "export", "--config", str(config), "--size", "5",
+                               "--out", str(out_path))
+        assert code == 3
+        assert "would be overwritten by the validation split" in err
+        assert sorted(os.listdir(synthesized_run)) == ["dryrun.yaml", "export.yaml", "run"]
+
     @pytest.mark.parametrize("name", ARTIFACTS)
     def test_out_over_a_run_file_is_refused(self, capsys, synthesized_run, name):
         run_dir = synthesized_run / "run"
@@ -1392,6 +1535,13 @@ class TestDedupCheck:
         code, out, _ = run_cli(capsys, "dedup-check", "--index", str(index))
         assert code == 1
         assert "violation: a ~ b" in out
+
+    def test_a_torn_last_line_exits_3(self, capsys, synthesized_run):
+        index = synthesized_run / "run" / "index.tsv"
+        index.write_bytes(index.read_bytes()[:-3])
+        code, _, err = run_cli(capsys, "dedup-check", "--index", str(index))
+        assert code == 3
+        assert f"{index}:42: index line lacks its newline" in err
 
     def test_missing_index_argument(self, capsys):
         code, _, err = run_cli(capsys, "dedup-check")

@@ -226,6 +226,14 @@ class TestSnapshot:
             load_index(path)
         assert str(info.value) == f"{path}:{line_no}: {message}"
 
+    def test_a_torn_last_line_is_refused_not_read_as_a_shorter_number(self, tmp_path):
+        # Without its last 3 bytes, the last value would load as 0.94708096312924.
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"a\t1.0 0.0\nb\t0.0 0.9470809631292422\n"[:-3])
+        with pytest.raises(ValueError) as info:
+            load_index(path)
+        assert str(info.value) == f"{path}:2: index line lacks its newline"
+
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "index.tsv"
         path.write_text("qa-1\t0.5 1.0\nnot a valid line\n", encoding="utf-8")
@@ -308,12 +316,6 @@ class TestIndexWriter:
         assert path.stat().st_ino == inode
         assert os.listdir(tmp_path) == ["index.tsv"]
 
-    def test_extend_ends_a_last_line_that_lacks_its_newline(self, tmp_path):
-        path = tmp_path / "index.tsv"
-        path.write_bytes(b"a\t1.0 0.0")
-        write_entries(path, ["b"], [vec(0.0, 1.0)])
-        assert path.read_bytes() == b"a\t1.0 0.0\nb\t0.0 1.0\n"
-
     @pytest.mark.parametrize("failure", ["killed", "input ends inside a frame"])
     def test_a_failed_writer_leaves_the_snapshot_as_it_was(self, tmp_path, failure):
         path = tmp_path / "index.tsv"
@@ -369,7 +371,7 @@ class TestIndexWriter:
         rows = self.varied_rows()[:4]
         ids = ["qa-0", "qa-1", "qa-2"]
         path = tmp_path / "index.tsv"
-        path.write_bytes(parent_line("a", rows[0])[:-1])  # lacks its newline
+        path.write_bytes(parent_line("a", rows[0]))
         writer = IndexWriter(path)
         for sample_id, row in zip(ids, rows[1:]):
             writer.append(sample_id, row)

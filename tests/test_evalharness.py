@@ -410,10 +410,6 @@ class TestEmitReport:
         with open(paths["json"], encoding="utf-8") as fh:
             assert json.load(fh) == [base.to_dict(), tuned.to_dict()]
 
-    def test_empty_report_list_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path)
-
 
 class TestPublishedPercentageReplay:
     """Six model runs with known pass counts land at exact one-decimal rows."""

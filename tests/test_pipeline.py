@@ -847,12 +847,3 @@ class TestExport:
         # ensure_ascii=False keeps the apostrophe readable in the raw file
         assert "that's" in raw
 
-    def test_empty_split_is_an_error(self, tmp_path):
-        path = tmp_path / "train.jsonl"
-        with pytest.raises(ValueError, match="empty"):
-            export_finetune_file([], CONCISE_FINETUNE_PROMPT, path)
-        assert not path.exists()
-
-    def test_empty_prompt_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError, match="system_prompt"):
-            export_finetune_file(make_samples(1), "", tmp_path / "train.jsonl")
