@@ -267,7 +267,7 @@ def complete_chat(
             prompt_tokens=int(usage.get("prompt_tokens", 0)),
             completion_tokens=int(usage.get("completion_tokens", 0)),
         )
-    except (TypeError, KeyError, IndexError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, KeyError, IndexError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed completion body: {_excerpt(body)}") from exc
     if not isinstance(completion.content, str):
         raise ProtocolError(f"completion content is not text: {_excerpt(body)}")

@@ -475,7 +475,10 @@ def _check_run_config(out_dir: Path, run_config: dict) -> None:
     if not path.exists():
         raise ValueError(f"{out_dir}: cannot resume: {RUN_CONFIG_FILENAME}, which records "
                          "the settings the run started under, is missing")
-    recorded = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a decode error too; neither names the file
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(recorded, dict):
         raise ValueError(f"{path}: not a JSON object")
     changed = [key for key, value in run_config.items() if recorded.get(key) != value]

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import importlib.util
 import json
 import os
 import signal
@@ -16,6 +17,8 @@ import pytest
 import yaml
 
 import convoforge.cli as cli
+import convoforge.dedup as dedup_module
+import convoforge.evalharness as evalharness_module
 import convoforge.gateway as gateway_module
 import convoforge.pipeline as pipeline_module
 from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
@@ -72,6 +75,19 @@ def disk_full():
 
 def tmp_files(directory):
     return sorted(str(path) for path in Path(directory).rglob("*.tmp"))
+
+
+def record_index_writers(monkeypatch):
+    """Record each IndexWriter that synth makes from now on, in the list returned."""
+    writers = []
+
+    class Recorded(IndexWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(self)
+
+    monkeypatch.setattr(pipeline_module, "IndexWriter", Recorded)
+    return writers
 
 
 def write_dryrun_config(tmp_path, **extra_paths):
@@ -589,13 +605,19 @@ class TestResume:
         assert {name: path.read_bytes() for name in ARTIFACTS
                 if (path := run_dir / name).exists()} == before
 
-    def test_resume_of_a_finished_run_changes_no_byte(self, capsys, synthesized_run):
-        run_dir = synthesized_run / "run"
+    def test_resume_of_a_finished_run_changes_no_byte(self, capsys, tmp_path, monkeypatch):
+        # Each exit waits for its index writer: none outlives synth.
+        writers = record_index_writers(monkeypatch)
+        config = write_dryrun_config(tmp_path)
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 0
+        assert [writer._proc.returncode for writer in writers] == [0]
+        run_dir = tmp_path / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
         index_inode = (run_dir / "index.tsv").stat().st_ino
-        config = write_dryrun_config(synthesized_run)
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
+        assert [writer._proc.returncode for writer in writers] == [0, 0]
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
         assert (run_dir / "index.tsv").stat().st_ino == index_inode  # appended in place
 
@@ -701,6 +723,17 @@ class TestResume:
         assert {name: path.read_bytes() for name in ARTIFACTS
                 if (path := run_dir / name).exists()} == before
 
+    def test_resume_refuses_a_damaged_settings_record_naming_it(self, capsys, synthesized_run):
+        run_dir = synthesized_run / "run"
+        run_config = run_dir / "run_config.json"
+        run_config.write_bytes(run_config.read_bytes()[:31])
+        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        config = write_dryrun_config(synthesized_run)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 3
+        assert f"error: {run_config}: invalid JSON: " in err
+        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+
 
 # Each case: a sample record made into one that is not, and the reason its
 # error must give after path:line.
@@ -745,14 +778,7 @@ class TestIndexWriterFailure:
         index = tmp_path / "run" / "index.tsv"
         before = index.read_bytes()
 
-        writers = []
-
-        class Recorded(IndexWriter):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                writers.append(self)
-
-        monkeypatch.setattr(pipeline_module, "IndexWriter", Recorded)
+        writers = record_index_writers(monkeypatch)
         transport = healthy
         if failure == "killed":
             transport = KillsWriterAt(30, writers)
@@ -1296,6 +1322,24 @@ class TestEvalModelsAtOnce:
         assert len(sim.requests) > 0
 
 
+def test_every_name_the_benchmark_tracer_wraps_is_there():
+    # perfbench/tracer.py times a run by rebinding these names where their
+    # callers look them up; a moved or renamed one would fail only traced runs.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = []
+
+    class Checking(tracer.Tracer):
+        def wrap(self, owner, attr, name, adopts=False, on_result=None):  # rebinds nothing
+            assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+            wrapped.append((owner, attr))
+
+    tracer.install(Checking("names"), cli, pipeline_module, evalharness_module, dedup_module)
+    assert wrapped
+
+
 # sha256 of each artifact of the 50-section dry run and of its eval with
 # --similarity, recorded with numpy 2.4.6 on x86-64 Linux. The other tests
 # compare one run against another; these catch a change to the parse or
@@ -1324,6 +1368,10 @@ def test_dry_run_and_eval_keep_their_golden_bytes(capsys, synthesized_run):
         for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+    # Every whole file went through a .tmp file that was moved into place.
+    assert sorted(os.listdir(synthesized_run / "run")) == sorted(ARTIFACTS)
+    assert sorted(os.listdir(synthesized_run / "eval")) == [
+        "aggregate.csv", "records.csv", "report.json"]
 
 
 class TestExport:
@@ -1562,3 +1610,21 @@ class TestDedupCheck:
         code, out, _ = run_cli(capsys, "dedup-check", "--index", str(index), "--threshold", "1.0")
         assert code == 0
         assert "no similarity violations among 42 entries at threshold 1.0" in out
+
+    @pytest.mark.parametrize("by_index", [True, False], ids=["--index", "output_dir"])
+    def test_config_supplies_the_threshold_and_the_index(self, capsys, synthesized_run, by_index):
+        config = write_dryrun_config(synthesized_run)  # its output_dir holds the run
+        argv = ["dedup-check", "--config", str(config)]
+        if by_index:
+            argv += ["--index", str(synthesized_run / "run" / "index.tsv")]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "no similarity violations among 42 entries at threshold 0.8" in out
+        config.write_text(config.read_text("utf-8").replace(
+            "pipeline:\n", "pipeline:\n  dedup_threshold: 0.2\n"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.endswith("\n44 violating pairs\n")
+        code, out, _ = run_cli(capsys, *argv, "--threshold", "0.8")
+        assert code == 0
+        assert "no similarity violations among 42 entries at threshold 0.8" in out

@@ -101,8 +101,12 @@ class TestCompleteChat:
         with pytest.raises(ProtocolError, match="404"):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
-    def test_malformed_body_raises_with_excerpt(self):
-        transport = ScriptedTransport([{"status": 200, "body": {"unexpected": True}}])
+    @pytest.mark.parametrize("body", [
+        {"unexpected": True},
+        *({**chat_body(), "usage": usage} for usage in ("n/a", [1], 5)),
+    ], ids=["no-choices", "usage-str", "usage-list", "usage-int"])
+    def test_malformed_body_raises_with_excerpt(self, body):
+        transport = ScriptedTransport([{"status": 200, "body": body}])
         with pytest.raises(ProtocolError, match="malformed completion body"):
             chat_once(CONFIG, transport, sleep=NO_SLEEP)
 
