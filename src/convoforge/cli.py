@@ -14,7 +14,6 @@ call as a missing response. A SIGTERM stops synth as a Ctrl-C does, so
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import signal
 import sys
@@ -23,7 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import prompts
+from . import prompts, runlog
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
 from .dedup import find_violations
 from .evalharness import build_report, emit_report, generate_responses
@@ -38,20 +37,9 @@ from .gateway import (
     complete_chat,
     embed_texts,
 )
-from .pipeline import (
-    INDEX_FILENAME,
-    MANIFEST_FILENAME,
-    PipelineConfig,
-    RUN_CONFIG_FILENAME,
-    SAMPLES_FILENAME,
-    TRACES_FILENAME,
-    export_finetune_file,
-    load_samples,
-    read_corpus_file,
-    run_pipeline,
-    split_dataset,
-    write_atomic,
-)
+from .pipeline import (PipelineConfig, export_finetune_file, load_samples, read_corpus_file,
+                       run_pipeline, split_dataset)
+from .runlog import INDEX_FILENAME, RUN_FILENAMES, SAMPLES_FILENAME, VALIDATION_FILENAME
 from .simulate import SimulatedModelTransport
 from .snapshot import load_index
 from .textmetrics import flesch_reading_ease
@@ -63,12 +51,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NETWORK = 4
-
-# export writes the validation split beside the fine-tuning file, and
-# refuses an --out that would overwrite it or a synth run's file.
-VALIDATION_FILENAME = "validation.jsonl"
-RUN_FILENAMES = (SAMPLES_FILENAME, TRACES_FILENAME, INDEX_FILENAME, MANIFEST_FILENAME,
-                 RUN_CONFIG_FILENAME)
 
 # Tests inject transports here: factory(profile_name, gateway_config).
 TransportFactory = Callable[[str, GatewayConfig], Transport]
@@ -306,18 +288,18 @@ def cmd_export(args) -> int:
     try:
         system_prompt = prompts.preset(args.prompt)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
     splits = split_dataset(samples, cfg.pipeline)
     out = Path(args.out) if args.out else Path(cfg.paths.output_dir) / f"finetune-{args.size}.jsonl"
     validation = out.parent / VALIDATION_FILENAME
-    if out.name in (VALIDATION_FILENAME, f"{VALIDATION_FILENAME}.tmp", *RUN_FILENAMES):
+    if out.name in (VALIDATION_FILENAME, VALIDATION_FILENAME + runlog.TMP_SUFFIX, *RUN_FILENAMES):
         raise ValueError(f"--out {out}: export writes no file named {out.name}, since it would "
                          "overwrite a synth run's file or would be overwritten by the validation split")
     if Path(dataset).resolve() in (out.resolve(), validation.resolve()):
         raise ValueError(f"--out {out}: export would overwrite the dataset {dataset}")
     # Nested: the pair keeps validation apart from training, so a failed write leaves both.
-    with write_atomic(validation) as fh:
-        fh.writelines(json.dumps(asdict(s), ensure_ascii=False) + "\n" for s in splits.validation)
+    with runlog.write_atomic(validation) as fh:
+        fh.writelines(runlog.encode(asdict(s)) for s in splits.validation)
         count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
     print(f"wrote {count} records to {out}")
     print(f"wrote {len(splits.validation)} validation records to {validation}")

@@ -33,7 +33,8 @@ from .dedup import cosine_similarity
 from .gateway import NetworkError, ProtocolError
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
 from .gateway import complete_chat, embed_texts  # noqa: F401
-from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map, write_atomic
+from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
+from .runlog import write_atomic
 from .textmetrics import (
     CONVERSATIONAL_THRESHOLD,
     UnscorableTextError,

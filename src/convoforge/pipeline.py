@@ -31,34 +31,29 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import prompts
+from . import prompts, runlog
 from .dedup import DEDUP_THRESHOLD, QuestionIndex
 from .gateway import Bound, ProtocolError, check_fields
+from .runlog import (INDEX_FILENAME, MANIFEST_FILENAME, RUN_CONFIG_FILENAME, SAMPLES_FILENAME,
+                     TRACES_FILENAME, write_atomic)
 from .snapshot import ID_SEPARATORS, IndexWriter, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
 
 OUTCOMES = ("accepted", "discarded_readability", "rejected_duplicate", "generation_error")
-
-SAMPLES_FILENAME = "samples.jsonl"
-TRACES_FILENAME = "traces.jsonl"
-MANIFEST_FILENAME = "manifest.json"
-INDEX_FILENAME = "index.tsv"
-RUN_CONFIG_FILENAME = "run_config.json"
 
 # The settings that decide what a run makes, recorded in run_config.json.
 # target_samples, concurrency_limit, validation_size and subset_sizes decide
@@ -163,23 +158,10 @@ class IngestResult:
     excluded_short: int = 0
 
 
-def _numbered_records(path) -> Iterator[tuple[int, object]]:
-    """(line number, record) per non-blank line of a JSON-lines file;
-    raises ValueError naming path:line on an unparseable line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON record") from exc
-
-
 def read_corpus_file(path) -> list[dict]:
-    """Line-delimited JSON records; raises on an unparseable line."""
-    return [record for _, record in _numbered_records(path)]
+    """Line-delimited JSON records; raises ValueError naming path:line on an
+    unparseable line."""
+    return [record for _, record in runlog.replay(path)]
 
 
 def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestResult:
@@ -214,7 +196,7 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
         if any(c in section_id for c in ID_SEPARATORS):
             raise ValueError(f"corpus record {number + 1} has a tab, LF or CR in its "
                              f"section id {section_id!r}")
-        if not _encodes(section_id):
+        if not runlog.encodes(section_id):
             raise ValueError(f"corpus record {number + 1} has a section id that UTF-8 "
                              f"cannot encode: {section_id!r}")
         if section_id in record_of_id:
@@ -224,16 +206,6 @@ def ingest_corpus(records: Iterable[Mapping], config: PipelineConfig) -> IngestR
         record_of_id[section_id] = number
         result.sections.append(CorpusSection(section_id=section_id, text=text))
     return result
-
-
-def _encodes(text: str) -> bool:
-    """Whether UTF-8 can encode text; a lone surrogate, which json decodes
-    from an escape such as "\\ud800", cannot."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _parse_qa_payload(raw: str) -> Optional[tuple[str, str]]:
@@ -342,7 +314,7 @@ def _process_section(
             trace.outcome = "discarded_readability"
         else:
             for text in (question, answer_original, simplified):
-                if not _encodes(text):
+                if not runlog.encodes(text):
                     raise ProtocolError(f"reply text that UTF-8 cannot encode: {text[:200]!r}")
             sample = QaSample(
                 sample_id=f"qa-{section.section_id}",
@@ -401,28 +373,7 @@ def ordered_map(fn: Callable, items: Iterable, limit: int,
 def load_samples(path) -> list[QaSample]:
     """The samples of a samples.jsonl file; raises ValueError naming
     path:line on a line that is not a valid sample record."""
-    samples = []
-    for line_no, record in _numbered_records(path):
-        try:
-            samples.append(QaSample.from_record(record))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{line_no}: not a sample record: {exc}") from exc
-    return samples
-
-
-@contextmanager
-def write_atomic(path) -> Iterator[TextIO]:
-    """Yield a text file at path.tmp, making path's directory, and move it
-    onto path when the block ends; no fsync, so not across a power loss."""
-    tmp = Path(f"{path}.tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    except BaseException:  # KeyboardInterrupt too: path stays as it was
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+    return [s for _, s in runlog.replay(path, QaSample.from_record, "sample record")]
 
 
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
@@ -438,22 +389,22 @@ def _load_resume_state(out_dir: Path, config: PipelineConfig):
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
     accepted_ids = []
+
+    def trace_of(record):
+        outcome, section_id = record["outcome"], record["section_id"]
+        if outcome not in counts:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if section_id in consumed:
+            raise ValueError(f"section id {section_id!r} repeats an earlier trace")
+        consumed.add(section_id)
+        return outcome, QaSample.from_record(record["sample"]) if outcome == "accepted" else None
+
     traces_path = out_dir / TRACES_FILENAME
     if traces_path.exists():
-        for line_no, record in _numbered_records(traces_path):
-            try:
-                outcome, section_id = record["outcome"], record["section_id"]
-                if outcome not in counts:
-                    raise ValueError(f"unknown outcome {outcome!r}")
-                if section_id in consumed:
-                    raise ValueError(f"section id {section_id!r} repeats an earlier trace")
-                consumed.add(section_id)
-                if outcome == "accepted":
-                    accepted_ids.append(QaSample.from_record(record["sample"]).sample_id)
-            except (TypeError, KeyError, ValueError) as exc:
-                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{traces_path}:{line_no}: not a trace record: {reason}") from exc
+        for _, (outcome, sample) in runlog.replay(traces_path, trace_of, "trace record"):
             counts[outcome] += 1
+            if sample is not None:
+                accepted_ids.append(sample.sample_id)
     index_path = out_dir / INDEX_FILENAME
     if index_path.exists():
         index = load_index(index_path, threshold=config.dedup_threshold)
@@ -552,15 +503,14 @@ def run_pipeline(
                         trace.nearest_id = decision.nearest_id
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
-                traces_fh.write(json.dumps(asdict(trace), ensure_ascii=False) + "\n")
+                traces_fh.write(runlog.encode(asdict(trace)))
     finally:
         try:
             save_index(writer)
         finally:  # samples.jsonl is the log's accepted samples
-            log = (r for _, r in _numbered_records(out_dir / TRACES_FILENAME))
-            with write_atomic(out_dir / SAMPLES_FILENAME) as fh:
-                fh.writelines(json.dumps(r["sample"], ensure_ascii=False) + "\n"
-                              for r in log if r["outcome"] == "accepted")
+            log = (r for _, r in runlog.replay(out_dir / TRACES_FILENAME))
+            runlog.write_records(out_dir / SAMPLES_FILENAME,
+                                 (r["sample"] for r in log if r["outcome"] == "accepted"))
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:
@@ -618,10 +568,9 @@ def export_finetune_file(split: Sequence[QaSample], system_prompt: str, path) ->
     Each record carries exactly three messages: the system prompt, the
     question, and the simplified answer. Returns the record count.
     """
-    with write_atomic(path) as fh:
-        for sample in split:
-            messages = [{"role": "system", "content": system_prompt},
-                        {"role": "user", "content": sample.question},
-                        {"role": "assistant", "content": sample.answer_simplified}]
-            fh.write(json.dumps({"messages": messages}, ensure_ascii=False) + "\n")
+    runlog.write_records(path, ({"messages": [
+        {"role": "system", "content": system_prompt},
+        {"role": "user", "content": sample.question},
+        {"role": "assistant", "content": sample.answer_simplified},
+    ]} for sample in split))
     return len(split)

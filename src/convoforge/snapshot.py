@@ -98,23 +98,23 @@ def load_index(path, threshold=None):
     dedup.DEDUP_THRESHOLD); errors, a torn last line among them, name the
     file and line."""
     from .dedup import DEDUP_THRESHOLD, QuestionIndex, embedding_matrix
+    from .runlog import lines
 
     index = QuestionIndex(DEDUP_THRESHOLD if threshold is None else threshold)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):  # torn: its last number may be cut short
-                raise ValueError(f"{path}:{line_no}: index line lacks its newline")
-            if line == "\n":
-                continue
-            try:
-                sample_id, decimals = line[:-1].split("\t")
-                (row,) = embedding_matrix([decimals.split(" ")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed index line") from exc
-            try:
-                index.add_unchecked(sample_id, row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    for line_no, line in lines(path):
+        if not line.endswith("\n"):  # torn: its last number may be cut short
+            raise ValueError(f"{path}:{line_no}: index line lacks its newline")
+        if line == "\n":
+            continue
+        try:
+            sample_id, decimals = line[:-1].split("\t")
+            (row,) = embedding_matrix([decimals.split(" ")])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: malformed index line") from exc
+        try:
+            index.add_unchecked(sample_id, row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return index
 
 

@@ -983,6 +983,68 @@ def test_malformed_traces_line_fails_resume_with_exit_3(capsys, synthesized_run,
     assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
+def cut_inside_e_acute(path):
+    """Make path's last line end inside an "é", as a SIGKILL during a buffered
+    write can leave it, and return that line's number."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    last = json.dumps({**json.loads(lines[-1]), "error": "café"}, ensure_ascii=False).encode()
+    path.write_bytes(b"".join(lines[:-1]) + last[:last.index(b"\xc3") + 1])
+    return len(lines)
+
+
+def put_ff_into_line(path, line_no):
+    """Put byte 0xff, which UTF-8 cannot decode, into path's line line_no."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = lines[line_no - 1].replace(b"qa-", b"qa-\xff", 1)
+    path.write_bytes(b"".join(lines))
+    return line_no
+
+
+def argv_reading_bad_traces(run_dir):
+    traces = run_dir / "run" / "traces.jsonl"
+    line_no = cut_inside_e_acute(traces)
+    return traces, line_no, ["synth", "--config", str(write_dryrun_config(run_dir)),
+                             "--dry-run", "--resume"]
+
+
+def argv_reading_bad_corpus(run_dir):
+    corpus = run_dir / "corpus.jsonl"
+    lines = (DATA_DIR / "corpus_50.jsonl").read_bytes().splitlines(keepends=True)
+    lines[8] = lines[8].replace(b'"text": "', b'"text": "\xff', 1)
+    corpus.write_bytes(b"".join(lines))
+    config = run_dir / "dryrun.yaml"
+    config.write_text(f"paths:\n  corpus: {corpus}\n  output_dir: {run_dir / 'run'}\n",
+                      encoding="utf-8")
+    return corpus, 9, ["synth", "--config", str(config), "--dry-run"]
+
+
+def argv_reading_bad_validation(run_dir):
+    validation = run_dir / "validation.jsonl"
+    validation.write_bytes((run_dir / "run" / "samples.jsonl").read_bytes())
+    config = run_dir / "eval.yaml"
+    config.write_text(eval_config_text(run_dir), encoding="utf-8")
+    return validation, put_ff_into_line(validation, 7), [
+        "eval", "--config", str(config), "--validation", str(validation)]
+
+
+def argv_reading_bad_index(run_dir):
+    index = run_dir / "run" / "index.tsv"
+    return index, put_ff_into_line(index, 5), ["dedup-check", "--index", str(index)]
+
+
+@pytest.mark.parametrize("damage", [argv_reading_bad_traces, argv_reading_bad_corpus,
+                                    argv_reading_bad_validation, argv_reading_bad_index],
+                         ids=["traces", "corpus", "validation", "index"])
+def test_bytes_utf8_cannot_decode_exit_3_naming_path_and_line(capsys, synthesized_run, damage):
+    path, line_no, argv = damage(synthesized_run)
+    before = {p: p.read_bytes() for p in synthesized_run.rglob("*") if p.is_file()}
+    code, _, err = run_cli(capsys, *argv,
+                           transport_factory=lambda profile, gw: SimulatedModelTransport())
+    assert code == 3
+    assert f"error: {path}:{line_no}: bytes that UTF-8 cannot decode" in err.splitlines()
+    assert {p: p.read_bytes() for p in synthesized_run.rglob("*") if p.is_file()} == before
+
+
 class TestEval:
     def test_writes_all_three_reports(self, capsys, synthesized_run):
         config = synthesized_run / "eval.yaml"
@@ -1322,13 +1384,18 @@ class TestEvalModelsAtOnce:
         assert len(sim.requests) > 0
 
 
-def test_every_name_the_benchmark_tracer_wraps_is_there():
-    # perfbench/tracer.py times a run by rebinding these names where their
-    # callers look them up; a moved or renamed one would fail only traced runs.
+def load_benchmark_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_there():
+    # perfbench/tracer.py times a run by rebinding these names where their
+    # callers look them up; a moved or renamed one would fail only traced runs.
+    tracer = load_benchmark_tracer()
     wrapped = []
 
     class Checking(tracer.Tracer):
@@ -1338,6 +1405,48 @@ def test_every_name_the_benchmark_tracer_wraps_is_there():
 
     tracer.install(Checking("names"), cli, pipeline_module, evalharness_module, dedup_module)
     assert wrapped
+
+
+# Wrapped names that no command calls: evalharness binds them only for the
+# tracer, and eval's calls go through cli's bindings (ROADMAP item 18).
+NEVER_CALLED = {"evalharness.complete_chat", "evalharness.embed_texts"}
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_called(capsys, tmp_path, monkeypatch):
+    # A call moved off a wrapped binding leaves the name in place, and its
+    # traced run reports the layer as idle; each command here must call it.
+    tracer = load_benchmark_tracer()
+    calls = Counter()
+
+    class Counting(tracer.Tracer):
+        def wrap(self, owner, attr, name, adopts=False, on_result=None):
+            key, original = f"{owner.__name__.rpartition('.')[2]}.{attr}", getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            calls[key] += 0
+            monkeypatch.setattr(owner, attr, counted)
+
+    tracer.install(Counting("calls"), cli, pipeline_module, evalharness_module, dedup_module)
+    config = write_dryrun_config(tmp_path)
+    export_config = tmp_path / "export.yaml"
+    export_config.write_text("pipeline:\n  target_samples: 42\n  validation_size: 10\n"
+                             f"  subset_sizes: [5, 20]\npaths:\n  output_dir: {tmp_path / 'run'}\n",
+                             encoding="utf-8")
+    eval_config = tmp_path / "eval.yaml"
+    eval_config.write_text(eval_config_text(tmp_path), encoding="utf-8")
+    for argv in (["synth", "--config", str(config), "--dry-run", "--limit", "20"],
+                 ["synth", "--config", str(config), "--dry-run", "--resume"],
+                 ["export", "--config", str(export_config), "--size", "5"],
+                 ["eval", "--config", str(eval_config), "--similarity"],
+                 ["dedup-check", "--config", str(config)]):
+        code, _, _ = run_cli(capsys, *argv,
+                             transport_factory=lambda profile, gw: SimulatedModelTransport())
+        assert code == 0, argv
+    assert NEVER_CALLED <= set(calls)
+    assert {key for key, n in calls.items() if n == 0} == NEVER_CALLED
 
 
 # sha256 of each artifact of the 50-section dry run and of its eval with
@@ -1567,7 +1676,8 @@ class TestExport:
             "--prompt", "fancy-style",
         )
         assert code == 2
-        assert "concise-finetune" in err
+        assert ("error: unknown prompt preset 'fancy-style'; available: concise-finetune, "
+                "verbose-base") in err.splitlines()
 
 
 class TestDedupCheck:
