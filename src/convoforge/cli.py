@@ -115,7 +115,7 @@ def _read_score_input(args) -> str:
     if args.text is not None:
         return args.text
     if args.file:
-        return Path(args.file).read_text(encoding="utf-8")
+        return "".join(line for _, line in runlog.lines(args.file))
     return sys.stdin.read()
 
 

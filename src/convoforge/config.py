@@ -18,7 +18,7 @@ from typing import Annotated, Optional, get_args, get_origin, get_type_hints
 
 import yaml
 
-from . import prompts
+from . import prompts, runlog
 from .gateway import Bound, GatewayConfig, check_fields, field_rules, type_name
 from .pipeline import PipelineConfig
 from .textmetrics import CONVERSATIONAL_THRESHOLD, MAX_FLESCH_SCORE
@@ -185,9 +185,11 @@ def _eval_model(entry, generation_profile: str, source: str) -> EvalModelSpec:
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
-        raw_text = path.read_text(encoding="utf-8")
+        raw_text = "".join(line for _, line in runlog.lines(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # path:line: bytes that UTF-8 cannot decode
+        raise ConfigError(str(exc)) from exc
     try:
         raw = yaml.safe_load(raw_text)
     except yaml.YAMLError as exc:

@@ -13,11 +13,12 @@ the wire's {"role", "content"} messages (one user turn per synthesis call)
 and a temperature and returns the reply text, and EmbedFn embeds texts.
 Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
-stage of dedup decisions, so a fixed seed is bit-identical. That stage sends
-accepted entries to the index snapshot's writer (see snapshot), which appends
-them to index.tsv in place, and appends each section to traces.jsonl, the one
-commit log, whose accepted lines carry their samples. Every exit waits for
-the writer and rebuilds samples.jsonl from the log.
+stage of dedup decisions, so a fixed seed is bit-identical. That stage
+appends each section to traces.jsonl, the one commit log, whose accepted
+lines carry their samples, and after an accepted section's log line hands its
+index line to the snapshot's writer (see snapshot), which appends the lines
+to index.tsv in place about 256 KB at a time. Every exit writes the lines
+still pending and rebuilds samples.jsonl from the log.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
@@ -48,7 +49,7 @@ from .dedup import DEDUP_THRESHOLD, QuestionIndex
 from .gateway import Bound, ProtocolError, check_fields
 from .runlog import (INDEX_FILENAME, MANIFEST_FILENAME, RUN_CONFIG_FILENAME, SAMPLES_FILENAME,
                      TRACES_FILENAME, write_atomic)
-from .snapshot import ID_SEPARATORS, IndexWriter, load_index, save_index
+from .snapshot import ID_SEPARATORS, IndexWriter, index_line, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -487,15 +488,12 @@ def run_pipeline(
                 closing(ordered_map(work, sections, config.concurrency_limit,
                                     lambda: config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
-                # Send the entries of the sections already logged, before this
-                # one is touched: an interrupt raised while the send lets the
-                # workers run still finds the index and the log in agreement.
-                writer.flush()
+                line = None
                 if candidate is not None:
                     sample, embedding = candidate
                     decision = index.check_and_insert(sample.sample_id, embedding)
                     if decision.accepted:
-                        writer.append(sample.sample_id, embedding)
+                        line = index_line(sample.sample_id, embedding)
                         trace.outcome = "accepted"
                         trace.sample = sample
                     else:
@@ -504,6 +502,8 @@ def run_pipeline(
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
                 traces_fh.write(runlog.encode(asdict(trace)))
+                if line is not None:  # after its log line, so the index is never ahead of it
+                    writer.append(line)
     finally:
         try:
             save_index(writer)

@@ -4,99 +4,102 @@ A snapshot holds one line per index entry: the sample id, a tab, and the
 row's float64 values as repr decimals separated by spaces, which load_index
 reads back bit-exactly. An id therefore holds none of ID_SEPARATORS.
 
-synth writes it through a child process, this module run as a script:
-
-    python -I -S snapshot.py SNAPSHOT
-
-IndexWriter starts the child once the run's resume state has loaded, and
-the run sends it each entry as the entry is accepted, so the run never
-formats its whole index at the end. The child imports only the standard
-library, so it starts in tens of milliseconds and never loads numpy; this
-module's top level must stay that way. The child opens SNAPSHOT for
-appending, on a fresh run (which has deleted it) and a --resume (which has
-loaded it, so it ends in a newline) alike; then it appends one line per frame
-and exits 0 at the end of its input, so a live run's SNAPSHOT can end in a
-torn line, which load_index refuses. It runs in its own session and ignores
-SIGINT and SIGTERM, so a Ctrl-C or a SIGTERM that stops synth leaves it
-running until save_index, which every exit from the run calls, waits for it;
-a killed synth leaves it to drain the pipe and exit. If the child does not
-exit 0, save_index cuts SNAPSHOT back to the size IndexWriter recorded, or
-removes it if the run created it, and raises OSError, so SNAPSHOT is left as
-it was.
-
-A frame is a little-endian header of two uint32s, the id's UTF-8 length and
-the row's byte length, then the id and the row as float64 bytes in the
-machine's order (both processes run on one machine). Input that ends inside
-a frame is an error: the parent sends whole frames, so it died mid-send.
+synth appends each accepted entry's index_line in place, through an
+IndexWriter, and save_index, which every exit from the run calls, writes
+what is still pending. orjson is imported only where a line is spelled or
+read, so eval, export and score never load it.
 """
 
 import os
-import signal
-import struct
-import sys
-from array import array
+
+import numpy as np
 
 # The tab that ends an id in its line, and the line ends load_index splits on.
 ID_SEPARATORS = "\t\n\r"
 
-HEADER = struct.Struct("<II")
+# All a line's decimals may hold: orjson reads true, "1" or 1,2 as numbers too.
+_DECIMAL_BYTES = b"0123456789.eE+- "
+
+
+def index_line(sample_id: str, row: np.ndarray) -> bytes:
+    """The snapshot line of a float64 row: byte for byte what
+    " ".join(map(repr, row)) spells, several times faster."""
+    import orjson
+
+    # orjson writes repr's digits in repr's notation but for the values that
+    # repr writes with an exponent: mask those as NaN, which orjson spells
+    # null, and put each one's repr where its null stands.
+    magnitudes = np.abs(row)
+    scientific = ((magnitudes > 0) & (magnitudes < 1e-4)) | (magnitudes >= 1e16)
+    masked = row.copy()
+    masked[scientific] = np.nan
+    spelled = orjson.dumps(masked, option=orjson.OPT_SERIALIZE_NUMPY)
+    pieces, start = [], 1  # past the "["
+    for value in row[scientific].tolist():
+        null = spelled.index(b"n", start)
+        pieces += (spelled[start:null], repr(value).encode("ascii"))
+        start = null + len(b"null")
+    pieces.append(spelled[start:-1])  # up to the "]"
+    decimals = b"".join(pieces).replace(b",", b" ")
+    return sample_id.encode("utf-8") + b"\t" + decimals + b"\n"
 
 
 class IndexWriter:
-    """The parent's end of the child that writes path's snapshot.
+    """Appends lines to path's snapshot, opened (or created) at once, about
+    256 KB at a time. A write resumes where the file ends, so the next one
+    finishes a write that an interrupt cut short, never repeats it. A write
+    that raises OSError cuts the snapshot back to what it held at the start
+    (removes it, if the writer created it), and nothing more is written."""
 
-    append() only buffers an entry; flush() sends what is buffered. After a
-    flush the buffer takes any frame whole, so the next append makes no
-    system call; and the buffered writer counts what a send has written, so
-    a send cut short by an interrupt is finished by save_index.
-    """
-
-    _SCRIPT = __file__
-    _BUFFER_BYTES = 1 << 20  # one frame of up to 131,072 float64 values
+    # A 1 MB buffer added 1-2 MB to synth-latency's peak RSS; writing 256 KB
+    # at a time cost synth-cpu no measurable wall time.
+    _BUFFER_BYTES = 1 << 18
 
     def __init__(self, path):
-        import subprocess  # only here: eval, export and dedup-check never load it
-
         self.path = os.fspath(path)
-        try:  # what save_index cuts a failed child's appends back to
-            self._size = os.path.getsize(self.path)
-        except FileNotFoundError:
-            self._size = None
-        self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", self._SCRIPT, self.path],
-            stdin=subprocess.PIPE, bufsize=self._BUFFER_BYTES, start_new_session=True)
+        self._size = os.path.getsize(self.path) if os.path.exists(self.path) else None
+        self._file = open(self.path, "ab", buffering=0)
+        # Where the pending bytes go, and those bytes: one attribute, so that
+        # no interrupt leaves the two apart.
+        self._tail = (os.fstat(self._file.fileno()).st_size, bytearray())
 
-    def append(self, sample_id: str, row) -> None:
-        """Buffer one entry; row is a float64 row, as embedding_matrix makes."""
-        key = sample_id.encode("utf-8")
-        data = row.tobytes()
-        self._proc.stdin.write(HEADER.pack(len(key), len(data)) + key + data)
+    def append(self, line: bytes) -> None:
+        self._tail[1].extend(line)
+        if len(self._tail[1]) >= self._BUFFER_BYTES:
+            self.flush()
 
     def flush(self) -> None:
-        self._proc.stdin.flush()
+        if self._file.closed:  # a write failed, or save_index has run
+            return
+        offset, pending = self._tail
+        try:
+            while (done := os.fstat(self._file.fileno()).st_size - offset) < len(pending):
+                self._file.write(memoryview(pending)[done:])  # no copy of the buffer
+        except OSError as exc:
+            self._file.close()
+            if self._size is None:
+                os.unlink(self.path)
+            else:
+                os.truncate(self.path, self._size)
+            raise OSError(exc.errno, f"cannot append to {self.path} ({exc.strerror}); "
+                                     "it was cut back to what it held before the run") from exc
+        self._tail = (offset + len(pending), bytearray())
 
 
 def save_index(writer: IndexWriter) -> None:
-    """Send the rest and wait for writer's child; if it did not exit 0, cut
-    the snapshot back to what it held before and raise OSError."""
+    """Write what writer holds pending and close its file."""
     try:
-        writer._proc.stdin.close()  # flushes first
-    except BrokenPipeError:
-        pass  # the child is gone; its exit status says why
-    status = writer._proc.wait()
-    if status != 0:
-        if writer._size is not None:
-            os.truncate(writer.path, writer._size)
-        elif os.path.exists(writer.path):  # a child may die before it opens it
-            os.unlink(writer.path)
-        raise OSError(f"index writer exited with status {status}; "
-                      f"{writer.path} was left as it was")
+        writer.flush()
+    finally:
+        writer._file.close()
 
 
 def load_index(path, threshold=None):
     """A dedup.QuestionIndex of the snapshot at path, at threshold (None:
     dedup.DEDUP_THRESHOLD); errors, a torn last line among them, name the
     file and line."""
+    import orjson
+
     from .dedup import DEDUP_THRESHOLD, QuestionIndex, embedding_matrix
     from .runlog import lines
 
@@ -108,34 +111,14 @@ def load_index(path, threshold=None):
             continue
         try:
             sample_id, decimals = line[:-1].split("\t")
-            (row,) = embedding_matrix([decimals.split(" ")])
-        except ValueError as exc:
+            decimals = decimals.encode("ascii")  # UnicodeError is a ValueError
+            if decimals.translate(None, _DECIMAL_BYTES):
+                raise ValueError("not a decimal")
+            (row,) = embedding_matrix([orjson.loads(b"[" + decimals.replace(b" ", b",") + b"]")])
+        except ValueError as exc:  # orjson.JSONDecodeError too
             raise ValueError(f"{path}:{line_no}: malformed index line") from exc
         try:
             index.add_unchecked(sample_id, row)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return index
-
-
-def main(argv: list) -> int:
-    # A Ctrl-C or a SIGTERM stops synth, whose exit path still waits for this
-    # process; a signal to the whole cgroup reaches it too.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    (snapshot_path,) = argv
-    frames = sys.stdin.buffer
-    with open(snapshot_path, "ab") as out:
-        while header := frames.read(HEADER.size):
-            id_size, row_size = HEADER.unpack(header)  # raises on a cut header
-            body = frames.read(id_size + row_size)
-            if len(body) != id_size + row_size:
-                raise EOFError("input ended inside a frame")
-            row = array("d", body[id_size:])
-            decimals = " ".join(map(repr, row.tolist()))
-            out.write(body[:id_size] + b"\t" + decimals.encode("ascii") + b"\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -37,8 +37,9 @@ def run_cli(capsys, *argv, transport_factory=None):
 
 
 def fail_writes_to(monkeypatch, name, after, error):
-    """Make a file named name, or name.tmp, that is opened for writing raise
-    error at its write after `after` writes, as a disk that fills up would."""
+    """Make a file named name, or name.tmp, that is opened for writing or
+    appending raise error at its write after `after` writes, as a disk that
+    fills up would."""
     real_open = open
 
     class Failing:
@@ -61,9 +62,13 @@ def fail_writes_to(monkeypatch, name, after, error):
         def __exit__(self, *exc_info):
             return self.fh.__exit__(*exc_info)
 
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
     def failing_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
-        failing = "w" in mode and os.path.basename(str(file)) in (name, f"{name}.tmp")
+        writes = "w" in mode or "a" in mode
+        failing = writes and os.path.basename(str(file)) in (name, f"{name}.tmp")
         return Failing(fh) if failing else fh
 
     monkeypatch.setattr("builtins.open", failing_open)
@@ -126,6 +131,13 @@ class TestScore:
         assert code == 0
         score = float(out.split("flesch_score: ")[1].strip())
         assert 81.0 <= score <= 85.0
+
+    def test_file_with_undecodable_bytes_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "answer.txt"
+        path.write_bytes(b"Go home.\nGo. \xff Run.\n")
+        code, _, err = run_cli(capsys, "score", "--file", str(path))
+        assert code == 3
+        assert f"error: {path}:2: bytes that UTF-8 cannot decode" in err.splitlines()
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -243,6 +255,16 @@ class TestSynthErrors:
         code, _, err = run_cli(capsys, "synth", "--config", str(config))
         assert code == 2
         assert "corpus" in err
+
+    def test_config_with_undecodable_bytes_is_a_config_error_naming_file_and_line(
+        self, capsys, tmp_path
+    ):
+        config = write_dryrun_config(tmp_path)
+        config.write_bytes(b"# caf\xe9, as Latin-1 spells it\n" + config.read_bytes())
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 2
+        assert f"error: {config}:1: bytes that UTF-8 cannot decode" in err.splitlines()
+        assert not (tmp_path / "run").exists()
 
     def test_zero_max_output_tokens_fails_before_touching_outputs(self, capsys, tmp_path):
         config = write_dryrun_config(tmp_path)
@@ -606,18 +628,18 @@ class TestResume:
                 if (path := run_dir / name).exists()} == before
 
     def test_resume_of_a_finished_run_changes_no_byte(self, capsys, tmp_path, monkeypatch):
-        # Each exit waits for its index writer: none outlives synth.
+        # Each exit closes its index writer's file.
         writers = record_index_writers(monkeypatch)
         config = write_dryrun_config(tmp_path)
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
         assert code == 0
-        assert [writer._proc.returncode for writer in writers] == [0]
+        assert [writer._file.closed for writer in writers] == [True]
         run_dir = tmp_path / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
         index_inode = (run_dir / "index.tsv").stat().st_ino
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
-        assert [writer._proc.returncode for writer in writers] == [0, 0]
+        assert [writer._file.closed for writer in writers] == [True, True]
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
         assert (run_dir / "index.tsv").stat().st_ino == index_inode  # appended in place
 
@@ -751,59 +773,62 @@ MALFORMED_SAMPLES = [
 ]
 
 
-class KillsWriterAt(SimulatedModelTransport):
-    """Serves every post from the simulator; at post `at`, SIGKILLs the
-    last index writer in `writers`."""
-
-    def __init__(self, at, writers):
-        self.at, self.writers, self.posts = at, writers, 0
-
-    def post(self, path, payload):
-        self.posts += 1
-        if self.posts == self.at:
-            self.writers[-1]._proc.kill()
-        return super().post(path, payload)
-
-
-class TestIndexWriterFailure:
-    @pytest.mark.parametrize("failure", ["killed", "exits nonzero"])
-    def test_synth_exits_1_and_keeps_the_earlier_index(
-        self, capsys, tmp_path, monkeypatch, failure
+class TestIndexWriteFailure:
+    @pytest.mark.parametrize("buffer_bytes, after", [(1, 0), (1, 5), (1 << 20, 0)],
+                             ids=["first-of-each-line", "sixth-of-each-line", "one-at-exit"])
+    @pytest.mark.parametrize("start", ["fresh", "resumed"])
+    def test_synth_exits_1_and_leaves_the_index_as_the_run_found_it(
+        self, capsys, tmp_path, monkeypatch, buffer_bytes, after, start
     ):
-        config = live_config(tmp_path)
-        healthy = SimulatedModelTransport()
-        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--limit", "20",
-                             transport_factory=lambda profile, gw: healthy)
-        assert code == 0
+        config = write_dryrun_config(tmp_path)
         index = tmp_path / "run" / "index.tsv"
-        before = index.read_bytes()
-
+        resume = []
+        if start == "resumed":
+            code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
+                                 "--limit", "20")
+            assert code == 0
+            before = index.read_bytes()
+            resume = ["--resume"]
         writers = record_index_writers(monkeypatch)
-        transport = healthy
-        if failure == "killed":
-            transport = KillsWriterAt(30, writers)
-        else:
-            script = tmp_path / "failing_writer.py"
-            script.write_text("raise SystemExit(3)\n", encoding="utf-8")
-            monkeypatch.setattr(IndexWriter, "_SCRIPT", str(script))
-        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--resume",
-                               transport_factory=lambda profile, gw: transport)
+        monkeypatch.setattr(IndexWriter, "_BUFFER_BYTES", buffer_bytes)
+        with monkeypatch.context() as patch:
+            fail_writes_to(patch, "index.tsv", after, disk_full())
+            code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", *resume)
         assert code == 1
-        status = -signal.SIGKILL if failure == "killed" else 3
-        assert f"error: index writer exited with status {status}" in err
-        assert index.read_bytes() == before
-        assert sorted(os.listdir(tmp_path / "run")) == ["index.tsv", "run_config.json", "samples.jsonl", "traces.jsonl"]
-        assert not (tmp_path / "run" / "manifest.json").exists()
-        assert len(writers) == 1 and writers[0]._proc.returncode == status  # reaped
-        # samples.jsonl is rebuilt from the log although the index save raised.
+        assert f"error: [Errno {errno.ENOSPC}] cannot append to {index} (" in err
+        left = ["run_config.json", "samples.jsonl", "traces.jsonl"]
+        if start == "fresh":  # the run created it
+            assert not index.exists()
+        else:
+            assert index.read_bytes() == before
+            left.insert(0, "index.tsv")
+        assert sorted(os.listdir(tmp_path / "run")) == left
+        assert [writer._file.closed for writer in writers] == [True]
+        # samples.jsonl is rebuilt from the log although the index write raised.
         traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
         assert read_corpus_file(tmp_path / "run" / "samples.jsonl") == [
             t["sample"] for t in traces if t["outcome"] == "accepted"]
         # The log went on past the index, so the directory cannot resume.
-        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--resume",
-                               transport_factory=lambda profile, gw: healthy)
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 3 and "cannot resume" in err
-        assert index.read_bytes() == before
+        if resume:
+            assert index.read_bytes() == before
+
+
+def test_synth_starts_no_process(capsys, tmp_path, monkeypatch):
+    started = []
+
+    def start(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("synth started a process")
+
+    for owner, name in [(subprocess, "Popen"), (os, "fork"), (os, "posix_spawn"),
+                        (os, "posix_spawnp"), (os, "system")]:
+        monkeypatch.setattr(owner, name, start)
+    config = write_dryrun_config(tmp_path)
+    code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+    assert code == 0
+    assert started == []
 
 
 CTRL_C_SCRIPT = """

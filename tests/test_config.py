@@ -90,6 +90,13 @@ class TestLoading:
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "absent.yaml")
 
+    def test_undecodable_bytes_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"pipeline:\n  # \xff\n  random_seed: 1\n")
+        with pytest.raises(ConfigError) as info:
+            load_run_config(path)
+        assert str(info.value) == f"{path}:2: bytes that UTF-8 cannot decode"
+
     def test_invalid_yaml(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_run_config(write_config(tmp_path, "pipeline: [unclosed"))

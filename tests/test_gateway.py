@@ -366,6 +366,51 @@ def test_requests_loads_only_with_a_live_transport(tmp_path):
     assert result.stdout.splitlines()[-1] == "False True"
 
 
+_ORJSON_PROBE = """
+import sys
+import convoforge.cli as cli
+from convoforge.simulate import SimulatedModelTransport
+
+config, eval_config = sys.argv[1:]
+sim = lambda profile, gateway: SimulatedModelTransport()
+codes = [cli.main(["score", "Go home. Run fast."]),
+         cli.main(["export", "--config", config, "--size", "5"]),
+         cli.main(["eval", "--config", eval_config, "--similarity"], transport_factory=sim)]
+before_dedup_check = "orjson" in sys.modules
+codes.append(cli.main(["dedup-check", "--config", config]))
+print(codes, before_dedup_check, "orjson" in sys.modules)
+"""
+
+
+def test_orjson_loads_only_where_index_lines_are_spelled_or_read(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    run_dir = tmp_path / "run"
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "pipeline:\n  validation_size: 10\n  subset_sizes: [5]\n"
+        f"paths:\n  corpus: {repo / 'tests' / 'data' / 'corpus_50.jsonl'}\n"
+        f"  output_dir: {run_dir}\n", encoding="utf-8")
+    eval_config = tmp_path / "eval.yaml"
+    eval_config.write_text(
+        "gateways:\n  sim:\n    base_url: https://sim.invalid\n    api_key_env: SIM_KEY\n"
+        "run:\n  generation_profile: sim\n"
+        "eval:\n  models:\n    - label: base\n      profile: sim\n      model: sim-chat\n"
+        "      system_prompt_preset: verbose-base\n"
+        f"paths:\n  output_dir: {run_dir}\n  validation: {run_dir / 'validation.jsonl'}\n",
+        encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    synth = subprocess.run(
+        [sys.executable, "-m", "convoforge.cli", "synth", "--config", str(config), "--dry-run"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+    assert synth.returncode == 0, synth.stderr
+    result = subprocess.run(
+        [sys.executable, "-c", _ORJSON_PROBE, str(config), str(eval_config)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0] False True"
+
+
 class TestBackoff:
     def test_retry_budget_is_capped(self):
         with pytest.raises(ValueError, match="max_retries"):
