@@ -7,8 +7,9 @@ configuration problems (bad file, missing API-key variable), 3 violated
 preconditions (including a --resume over files that disagree), 4 network
 trouble or a rejected API key. A synth call that still fails after its
 retries stops the run with 4, and --resume finishes it; eval counts such a
-call as a missing response. A SIGTERM stops synth as a Ctrl-C does, so
---resume finishes that run too, and the process then dies by SIGTERM.
+call as a missing response. A first SIGINT or SIGTERM stops synth where its
+files agree, so --resume finishes the run, and the process then dies by that
+signal; a second one kills at once. An ignored SIGINT stays ignored.
 """
 
 from __future__ import annotations
@@ -155,15 +156,6 @@ _DRY_RUN_GATEWAY = GatewayConfig(
 )
 
 
-class Terminated(KeyboardInterrupt):
-    """A SIGTERM received while synth runs; raised like a Ctrl-C, so the run's
-    finally leaves files that --resume finishes."""
-
-
-def _raise_terminated(signum, frame):
-    raise Terminated
-
-
 def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
     cfg = load_run_config(args.config)
     if args.limit is not None and args.limit < 0:
@@ -183,8 +175,19 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         chat_gateway, chat_transport = _connect(cfg, cfg.run.generation_profile, transport_factory)
         embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
 
-    on_main = threading.current_thread() is threading.main_thread()  # only it sets handlers
-    previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
+    # A signal only requests a stop, taken where the log and index agree, and
+    # SIG_DFL lets a second one kill at once. Only the main thread sets handlers.
+    stop, received, previous = threading.Event(), [], {}
+
+    def request_stop(signum, frame):
+        signal.signal(signum, signal.SIG_DFL)
+        received.append(signum)
+        stop.set()
+
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                previous[signum] = signal.signal(signum, request_stop)
     try:
         manifest = run_pipeline(
             cfg.pipeline,
@@ -197,14 +200,13 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
             limit=args.limit,
             qa_template=cfg.prompts.qa_generation,
             simplify_template=cfg.prompts.simplify,
+            stopped=stop.is_set,
         )
-    except Terminated:  # the run's finally is done: die by SIGTERM, as the sender expects
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGTERM)
-        raise
     finally:
-        if on_main:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        if received:  # end as the signal's own action ends: a SIGINT as a KeyboardInterrupt
+            signal.raise_signal(received[0])
     for outcome, count in sorted(manifest["counts"].items()):
         print(f"{outcome}: {count}")
     print(f"samples: {manifest['sample_count']}")

@@ -34,10 +34,13 @@ DEDUP_THRESHOLD = 0.8
 
 
 def embedding_matrix(rows) -> np.ndarray:
-    """A read-only float64 copy of `rows`: 2-D, at least one column, all finite."""
+    """A read-only float64 copy of `rows`: 2-D, at least one column, all
+    finite, and no row of zero magnitude, which no cosine can take."""
     matrix = np.array(rows, dtype=np.float64)
     if matrix.ndim != 2 or not matrix.shape[1] or not np.isfinite(matrix).all():
         raise ValueError(f"embeddings must be non-empty finite rows, got shape {matrix.shape}")
+    for row in matrix:
+        _norm(row)
     matrix.flags.writeable = False
     return matrix
 

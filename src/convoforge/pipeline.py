@@ -16,8 +16,8 @@ that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions, so a fixed seed is bit-identical. That stage
 appends each section to traces.jsonl, the one commit log, whose accepted
 lines carry their samples, and after an accepted section's log line hands its
-index line to the snapshot's writer (see snapshot), which appends the lines
-to index.tsv in place about 256 KB at a time. Every exit writes the lines
+index line to the snapshot's writer (see snapshot), a buffered file that
+appends the lines to index.tsv in place about 256 KB at a time. Every exit writes the lines
 still pending and rebuilds samples.jsonl from the log.
 
 One failure rule: a bad reply ends only its section, as a
@@ -25,7 +25,8 @@ generation_error; a call that still fails after its retries, a rejected
 key or any other error ends the run, and no later section starts. Sections
 before the failing one stay committed, it and all later ones leave no
 trace, and the index is saved on the way out, so --resume finishes the
-run with the samples, index and manifest an uninterrupted run writes.
+run with the samples, index and manifest an uninterrupted run writes. A
+requested stop ends the run the same way, at the top of a loop turn.
 """
 
 from __future__ import annotations
@@ -449,6 +450,7 @@ def run_pipeline(
     limit: Optional[int] = None,
     qa_template: str = prompts.QA_GENERATION_TEMPLATE,
     simplify_template: str = prompts.SIMPLIFY_TEMPLATE,
+    stopped: Callable[[], bool] = lambda: False,
 ) -> dict:
     """Drive the full synthesis loop, persist its artifacts, return the manifest.
 
@@ -461,7 +463,10 @@ def run_pipeline(
     finished run writes manifest.json, which every run first deletes. A
     fresh run records the settings that decide its outputs in
     run_config.json, and resume=True refuses other settings before any file
-    is touched.
+    is touched. Once stopped() is true, no more sections are submitted and
+    the loop ends at the top of its next turn, where the log and the index
+    agree; the run then raises KeyboardInterrupt in place of writing
+    manifest.json.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
@@ -486,7 +491,8 @@ def run_pipeline(
     try:
         with open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
                 closing(ordered_map(work, sections, config.concurrency_limit,
-                                    lambda: config.target_samples - counts["accepted"])) as results:
+                                    lambda: 0 if stopped() else
+                                    config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
                 line = None
                 if candidate is not None:
@@ -511,6 +517,8 @@ def run_pipeline(
             log = (r for _, r in runlog.replay(out_dir / TRACES_FILENAME))
             runlog.write_records(out_dir / SAMPLES_FILENAME,
                                  (r["sample"] for r in log if r["outcome"] == "accepted"))
+    if stopped():
+        raise KeyboardInterrupt
 
     shortfall = counts["accepted"] < config.target_samples
     if shortfall:

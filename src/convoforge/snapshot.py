@@ -5,9 +5,9 @@ row's float64 values as repr decimals separated by spaces, which load_index
 reads back bit-exactly. An id therefore holds none of ID_SEPARATORS.
 
 synth appends each accepted entry's index_line in place, through an
-IndexWriter, and save_index, which every exit from the run calls, writes
-what is still pending. orjson is imported only where a line is spelled or
-read, so eval, export and score never load it.
+IndexWriter, a buffered file, and save_index, which every exit from the run
+calls, writes what is still pending and closes it. orjson is imported only
+where a line is spelled or read, so eval, export and score never load it.
 """
 
 import os
@@ -45,11 +45,10 @@ def index_line(sample_id: str, row: np.ndarray) -> bytes:
 
 
 class IndexWriter:
-    """Appends lines to path's snapshot, opened (or created) at once, about
-    256 KB at a time. A write resumes where the file ends, so the next one
-    finishes a write that an interrupt cut short, never repeats it. A write
-    that raises OSError cuts the snapshot back to what it held at the start
-    (removes it, if the writer created it), and nothing more is written."""
+    """Appends lines to path's snapshot, opened (or created) at once, through
+    a 256 KB buffer. A write that raises OSError cuts the snapshot back to
+    what it held at the start (removes it, if the writer created it), and
+    nothing more is written."""
 
     # A 1 MB buffer added 1-2 MB to synth-latency's peak RSS; writing 256 KB
     # at a time cost synth-cpu no measurable wall time.
@@ -58,40 +57,32 @@ class IndexWriter:
     def __init__(self, path):
         self.path = os.fspath(path)
         self._size = os.path.getsize(self.path) if os.path.exists(self.path) else None
-        self._file = open(self.path, "ab", buffering=0)
-        # Where the pending bytes go, and those bytes: one attribute, so that
-        # no interrupt leaves the two apart.
-        self._tail = (os.fstat(self._file.fileno()).st_size, bytearray())
+        self._file = open(self.path, "ab", buffering=self._BUFFER_BYTES)
 
     def append(self, line: bytes) -> None:
-        self._tail[1].extend(line)
-        if len(self._tail[1]) >= self._BUFFER_BYTES:
-            self.flush()
+        self._cut_back_on_failure(self._file.write, line)
 
-    def flush(self) -> None:
-        if self._file.closed:  # a write failed, or save_index has run
-            return
-        offset, pending = self._tail
+    def close(self) -> None:
+        """Write what is pending and close the file."""
+        self._cut_back_on_failure(self._file.close)
+
+    def _cut_back_on_failure(self, step, *args) -> None:
         try:
-            while (done := os.fstat(self._file.fileno()).st_size - offset) < len(pending):
-                self._file.write(memoryview(pending)[done:])  # no copy of the buffer
+            step(*args)
         except OSError as exc:
-            self._file.close()
+            self._file.raw.close()  # drops what the buffer holds
             if self._size is None:
                 os.unlink(self.path)
             else:
                 os.truncate(self.path, self._size)
             raise OSError(exc.errno, f"cannot append to {self.path} ({exc.strerror}); "
                                      "it was cut back to what it held before the run") from exc
-        self._tail = (offset + len(pending), bytearray())
 
 
 def save_index(writer: IndexWriter) -> None:
-    """Write what writer holds pending and close its file."""
-    try:
-        writer.flush()
-    finally:
-        writer._file.close()
+    """Write what writer holds pending and close its file (a function, so
+    that perfbench's tracer can time it)."""
+    writer.close()
 
 
 def load_index(path, threshold=None):

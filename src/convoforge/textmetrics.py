@@ -78,12 +78,12 @@ def _preceding_token(text: str, idx: int) -> str:
     return text[j:idx]
 
 
+_NEXT_VISIBLE_RE = re.compile(r"\s*(\S?)")
+
+
 def _next_visible(text: str, idx: int) -> str:
     # By index: a slice, text[idx:], would copy the rest of the text at each mark.
-    for i in range(idx, len(text)):
-        if not text[i].isspace():
-            return text[i]
-    return ""
+    return _NEXT_VISIBLE_RE.match(text, idx).group(1)
 
 
 def _is_boundary(text: str, start: int, end: int, run: str) -> bool:
@@ -139,6 +139,10 @@ def segment_sentences(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# From the first to the last alphanumeric character of a whitespace-free run.
+_WORD_RE = re.compile(r"[^\W_](?:\S*[^\W_])?")
+
+
 def tokenize_words(text: str) -> list[str]:
     """Split on whitespace and strip surrounding punctuation.
 
@@ -146,16 +150,7 @@ def tokenize_words(text: str) -> list[str]:
     "well-known" each count as one word. Tokens that are pure
     punctuation disappear.
     """
-    words: list[str] = []
-    for raw in text.split():
-        i, j = 0, len(raw)
-        while i < j and not raw[i].isalnum():
-            i += 1
-        while j > i and not raw[j - 1].isalnum():
-            j -= 1
-        if i < j:
-            words.append(raw[i:j])
-    return words
+    return _WORD_RE.findall(text)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import signal
@@ -70,6 +71,29 @@ def fail_writes_to(monkeypatch, name, after, error):
         writes = "w" in mode or "a" in mode
         failing = writes and os.path.basename(str(file)) in (name, f"{name}.tmp")
         return Failing(fh) if failing else fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+
+
+def fail_flushes_to(monkeypatch, name, after, error):
+    """Make a file named name that is opened with mode "ab" raise error at
+    its raw write after `after` writes: below its buffer, where a disk that
+    fills up fails."""
+    real_open = open
+
+    class Failing(io.FileIO):
+        writes = 0
+
+        def write(self, data):
+            if self.writes == after:
+                raise error
+            self.writes += 1
+            return super().write(data)
+
+    def failing_open(file, mode="r", buffering=-1, *args, **kwargs):
+        if mode == "ab" and os.path.basename(str(file)) == name:
+            return io.BufferedWriter(Failing(file, "a"), buffering)
+        return real_open(file, mode, buffering, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", failing_open)
 
@@ -468,6 +492,48 @@ class KeyRejectedOn(SimulatedModelTransport):
         return TransportResponse(status=401, body={"error": "invalid api key"})
 
 
+class ZeroVectorsAt(SimulatedModelTransport):
+    """Answers the first embed call with zero vectors, which no cosine can
+    take; serves all else from the simulator."""
+
+    def __init__(self):
+        self.embeds = 0
+
+    def post(self, path, payload):
+        response = super().post(path, payload)
+        if path == EMBEDDINGS_PATH:
+            self.embeds += 1
+            if self.embeds == 1:
+                for row in response.body["data"]:
+                    row["embedding"] = [0.0] * len(row["embedding"])
+        return response
+
+
+class TestZeroVector:
+    def test_synth_writes_off_only_its_section(self, capsys, tmp_path):
+        config = live_config(tmp_path)  # one call in flight: the embed calls come in order
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config),
+                             transport_factory=lambda profile, gw: ZeroVectorsAt())
+        assert code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text("utf-8"))
+        assert manifest["counts"] == {"accepted": 41, "discarded_readability": 4,
+                                      "generation_error": 4, "rejected_duplicate": 1}
+        errors = [t["error"] for t in read_corpus_file(tmp_path / "run" / "traces.jsonl")
+                  if t["outcome"] == "generation_error"]
+        assert sum(error.startswith("malformed embeddings body") for error in errors) == 1
+
+    def test_eval_counts_one_embedding_failure(self, capsys, synthesized_run):
+        config = synthesized_run / "eval.yaml"
+        config.write_text(eval_config_text(synthesized_run), encoding="utf-8")
+        transport = ZeroVectorsAt()
+        code, _, _ = run_cli(capsys, "eval", "--config", str(config), "--similarity",
+                             transport_factory=lambda profile, gw: transport)
+        assert code == 0
+        report = json.loads((synthesized_run / "run" / "eval" / "report.json").read_text("utf-8"))
+        assert [(r["n_samples"], r["embedding_failure_count"]) for r in report] == [
+            (41, 1), (42, 0)]
+
+
 class TestRejectedKey:
     # At most _AHEAD x concurrency_limit calls are started before the first
     # rejection reaches the consumer; none is started after it.
@@ -774,8 +840,9 @@ MALFORMED_SAMPLES = [
 
 
 class TestIndexWriteFailure:
-    @pytest.mark.parametrize("buffer_bytes, after", [(1, 0), (1, 5), (1 << 20, 0)],
-                             ids=["first-of-each-line", "sixth-of-each-line", "one-at-exit"])
+    # A 4 KB buffer flushes every three lines or so; 1 MB holds them all until close.
+    @pytest.mark.parametrize("buffer_bytes, after", [(1 << 12, 0), (1 << 12, 5), (1 << 20, 0)],
+                             ids=["first-flush", "sixth-flush", "flush-at-close"])
     @pytest.mark.parametrize("start", ["fresh", "resumed"])
     def test_synth_exits_1_and_leaves_the_index_as_the_run_found_it(
         self, capsys, tmp_path, monkeypatch, buffer_bytes, after, start
@@ -792,7 +859,7 @@ class TestIndexWriteFailure:
         writers = record_index_writers(monkeypatch)
         monkeypatch.setattr(IndexWriter, "_BUFFER_BYTES", buffer_bytes)
         with monkeypatch.context() as patch:
-            fail_writes_to(patch, "index.tsv", after, disk_full())
+            fail_flushes_to(patch, "index.tsv", after, disk_full())
             code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", *resume)
         assert code == 1
         assert f"error: [Errno {errno.ENOSPC}] cannot append to {index} (" in err
@@ -808,6 +875,7 @@ class TestIndexWriteFailure:
         traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
         assert read_corpus_file(tmp_path / "run" / "samples.jsonl") == [
             t["sample"] for t in traces if t["outcome"] == "accepted"]
+        assert (len(traces) == 50) == (buffer_bytes == 1 << 20)  # only close failed after the loop
         # The log went on past the index, so the directory cannot resume.
         code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 3 and "cannot resume" in err
@@ -854,17 +922,48 @@ sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Slow()))
 """
 
 
-def stop_synth_midrun(config, stop, inherited=signal.SIG_DFL):
-    """Start a real synth process with SIGINT set to `inherited`, call stop(pid)
-    once it is mid-run, and return its exit status and stderr."""
+# The run's first call hangs: it says whether a stop was requested within
+# 10 s, then sleeps on, as a call stuck in a long timeout would.
+STUCK_SCRIPT = """
+import signal, sys, time
+from convoforge import cli
+from convoforge.simulate import SimulatedModelTransport
+
+class Stuck(SimulatedModelTransport):
+    def post(self, path, payload):
+        print("mid-run", flush=True)
+        deadline = time.monotonic() + 10
+        while signal.getsignal(signal.SIGINT) is not signal.SIG_DFL:
+            if time.monotonic() > deadline:
+                print("no stop", flush=True)
+                break
+            time.sleep(0.01)
+        else:
+            print("stopping", flush=True)
+        time.sleep(60)
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Stuck()))
+"""
+
+
+def start_synth(config, script=CTRL_C_SCRIPT, inherited=signal.SIG_DFL):
+    """A real synth process running script, in its own process group, with
+    SIGINT set to `inherited`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", CTRL_C_SCRIPT, "synth", "--config", str(config)],
+    return subprocess.Popen(
+        [sys.executable, "-c", script, "synth", "--config", str(config)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, inherited),
     )
+
+
+def stop_synth_midrun(config, stop, inherited=signal.SIG_DFL):
+    """Start a real synth process with SIGINT set to `inherited`, call stop(pid)
+    once it is mid-run, and return its exit status and stderr."""
+    proc = start_synth(config, inherited=inherited)
     try:
         assert proc.stdout.readline() == b"mid-run\n"
         stop(proc.pid)
@@ -923,6 +1022,41 @@ def test_sigterm_leaves_a_run_that_resume_finishes(capsys, tmp_path):
     handler = signal.getsignal(signal.SIGTERM)
     assert_resume_finishes(capsys, tmp_path, config)
     assert signal.getsignal(signal.SIGTERM) is handler  # restored after each in-process synth
+
+
+def test_a_second_sigint_kills_a_stopping_run_at_once(tmp_path):
+    proc = start_synth(live_config(tmp_path), STUCK_SCRIPT)
+    try:
+        assert proc.stdout.readline() == b"mid-run\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.stdout.readline() == b"stopping\n"  # the run waits for its stuck call
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=30) == -signal.SIGINT
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def test_an_ignored_sigint_stays_ignored(capsys, tmp_path):
+    """As a shell's background job has it: synth sets no handler over it,
+    neither while it runs nor after."""
+    seen = []
+
+    class Watching(SimulatedModelTransport):
+        def post(self, path, payload):
+            seen.append(signal.getsignal(signal.SIGINT))
+            return super().post(path, payload)
+
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        code, _, _ = run_cli(capsys, "synth", "--config", str(live_config(tmp_path)),
+                             transport_factory=lambda profile, gw: Watching())
+    finally:
+        after = signal.signal(signal.SIGINT, previous)
+    assert code == 0
+    assert after is signal.SIG_IGN and set(seen) == {signal.SIG_IGN}
 
 
 def test_synth_runs_off_the_main_thread(tmp_path):

@@ -90,9 +90,10 @@ class TestEmbeddingMatrix:
 
     @pytest.mark.parametrize("rows", [
         [[[1.0, 0.0]]], [1.0, 0.0], 1.0, None, [[None, 1.0]], [[]],
-        [[float("inf")]], [[float("nan")]], [[1.0], [2.0, 3.0]],
+        [[float("inf")]], [[float("nan")]], [[1.0], [2.0, 3.0]], [[1.0, 0.0], [0.0, -0.0]],
+        [[1e-200, 0.0]],
     ], ids=["nested", "flat", "number", "none", "none-component", "empty",
-            "inf", "nan", "ragged"])
+            "inf", "nan", "ragged", "zero-row", "norm-underflows-to-zero"])
     def test_rejects_anything_but_non_empty_finite_rows(self, rows):
         with pytest.raises(ValueError):
             embedding_matrix(rows)
@@ -329,40 +330,11 @@ class TestIndexWriter:
             written.append(path.stat().st_size)
         assert written[0] == 0  # created empty, then left alone until the buffer fills
         first = next(k for k, size in enumerate(written) if size)
-        assert written[first] == sum(map(len, lines[:first + 1])) >= IndexWriter._BUFFER_BYTES
+        # The line that overflows the buffer flushes the lines before it.
+        flushed = sum(map(len, lines[:first]))
+        assert written[first] == flushed <= IndexWriter._BUFFER_BYTES < flushed + len(lines[first])
         save_index(writer)
         assert path.read_bytes() == b"".join(lines)
-
-    @pytest.mark.parametrize("cut", ["before the write", "after a partial write",
-                                     "after the write"])
-    def test_an_interrupted_write_is_finished_not_repeated(self, tmp_path, cut):
-        path = tmp_path / "index.tsv"
-        path.write_bytes(b"a\t1.0 0.0\n")
-        writer = IndexWriter(path)
-        lines = [index_line(f"qa-{k}", row) for k, row in enumerate(self.varied_rows()[:3])]
-        for line in lines:
-            writer.append(line)
-        real_file = writer._file
-
-        class Interrupted:  # the write that a Ctrl-C lands in
-            closed = False
-
-            def fileno(self):
-                return real_file.fileno()
-
-            def write(self, data):
-                if cut == "after a partial write":
-                    real_file.write(data[:len(data) // 2])
-                elif cut == "after the write":
-                    real_file.write(data)
-                raise KeyboardInterrupt
-
-        writer._file = Interrupted()
-        with pytest.raises(KeyboardInterrupt):
-            writer.flush()
-        writer._file = real_file
-        save_index(writer)
-        assert path.read_bytes() == b"a\t1.0 0.0\n" + b"".join(lines)
 
 
 class TestFindViolations:

@@ -1,5 +1,6 @@
 """Synthesis pipeline: ingest, QA parsing, the readability gate, full runs."""
 
+import itertools
 import json
 import logging
 import sys
@@ -686,6 +687,41 @@ class TestFaultInjection:
         assert find_violations(index) == []
         counts = manifest["counts"]
         assert sum(counts.values()) == manifest["consumed_sections"] == 50
+
+
+class TestStop:
+    @pytest.mark.parametrize("limit", [1, 4])
+    def test_a_stop_at_any_call_leaves_a_run_that_resume_finishes(
+        self, corpus50_records, tmp_path, limit
+    ):
+        from conftest import SimFns
+
+        config = PipelineConfig(concurrency_limit=limit)
+        whole, calls = SimFns(), []
+
+        def counted(messages, temperature):
+            calls.append(None)
+            return whole.chat(messages, temperature)
+
+        run_pipeline(config, corpus50_records, counted, whole.embed, tmp_path / "whole")
+        # Every 7th of the run's 148 chat calls, and the last, keep the test near 2 s.
+        for k in [*range(1, len(calls), 7), len(calls)]:
+            fns, stop, seen = SimFns(), threading.Event(), itertools.count(1)
+
+            def chat(messages, temperature):
+                if next(seen) == k:
+                    stop.set()
+                return fns.chat(messages, temperature)
+
+            out = tmp_path / f"stop-{k}"
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(config, corpus50_records, chat, fns.embed, out, stopped=stop.is_set)
+            assert_resumable(out)
+            # Each section finished before call k made a chat call before it, and
+            # at most one more turn runs once the stop is set.
+            assert len(read_corpus_file(out / "traces.jsonl")) <= k
+            run_pipeline(config, corpus50_records, fns.chat, fns.embed, out, resume=True)
+            assert artifact_bytes(out) == artifact_bytes(tmp_path / "whole"), k
 
 
 class TestOrderedMap:
