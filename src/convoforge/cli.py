@@ -7,9 +7,10 @@ configuration problems (bad file, missing API-key variable), 3 violated
 preconditions (including a --resume over files that disagree), 4 network
 trouble or a rejected API key. A synth call that still fails after its
 retries stops the run with 4, and --resume finishes it; eval counts such a
-call as a missing response. A first SIGINT or SIGTERM stops synth where its
-files agree, so --resume finishes the run, and the process then dies by that
-signal; a second one kills at once. An ignored SIGINT stays ignored.
+call as a missing response. A first SIGINT or SIGTERM stops synth at its
+commit point, and a call waiting to retry with it, and the process then dies
+by that signal; a second one kills at once, and --resume finishes the run
+after either, as after a SIGKILL. An ignored SIGINT stays ignored.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 import signal
 import sys
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -130,16 +132,17 @@ def cmd_score(args) -> int:
 
 
 def _chat_fn(gateway: GatewayConfig, model_id: str, max_tokens: int,
-             transport: Transport):
+             transport: Transport, sleep=time.sleep):
     def chat(messages: Sequence[dict], temperature: float) -> str:
-        return complete_chat(gateway, model_id, messages, temperature, max_tokens, transport).content
+        return complete_chat(gateway, model_id, messages, temperature, max_tokens, transport,
+                             sleep).content
 
     return chat
 
 
-def _embed_fn(gateway: GatewayConfig, model_id: str, transport: Transport):
+def _embed_fn(gateway: GatewayConfig, model_id: str, transport: Transport, sleep=time.sleep):
     def embed(texts: Sequence[str]):
-        return embed_texts(gateway, model_id, texts, transport)
+        return embed_texts(gateway, model_id, texts, transport, sleep)
 
     return embed
 
@@ -175,14 +178,18 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
         chat_gateway, chat_transport = _connect(cfg, cfg.run.generation_profile, transport_factory)
         embed_gateway, embed_transport = _connect(cfg, cfg.run.embedding_profile, transport_factory)
 
-    # A signal only requests a stop, taken where the log and index agree, and
-    # SIG_DFL lets a second one kill at once. Only the main thread sets handlers.
+    # A signal only requests a stop, taken at the commit point, and SIG_DFL
+    # lets a second one kill at once. Only the main thread sets handlers.
     stop, received, previous = threading.Event(), [], {}
 
     def request_stop(signum, frame):
         signal.signal(signum, signal.SIG_DFL)
         received.append(signum)
         stop.set()
+
+    def backoff(delay):  # a stop ends the wait before a retry, and the call with it
+        if stop.wait(delay):
+            raise KeyboardInterrupt
 
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -193,8 +200,9 @@ def cmd_synth(args, transport_factory: Optional[TransportFactory]) -> int:
             cfg.pipeline,
             records,
             chat=_chat_fn(chat_gateway, cfg.pipeline.generation_model,
-                          cfg.pipeline.max_output_tokens, chat_transport),
-            embed=_embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport),
+                          cfg.pipeline.max_output_tokens, chat_transport, backoff),
+            embed=_embed_fn(embed_gateway, cfg.pipeline.embedding_model, embed_transport,
+                            backoff),
             out_dir=out_dir,
             resume=args.resume,
             limit=args.limit,

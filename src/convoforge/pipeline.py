@@ -15,18 +15,19 @@ Workers run at most concurrency_limit model calls at once; up to _AHEAD x
 that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions, so a fixed seed is bit-identical. That stage
 appends each section to traces.jsonl, the one commit log, whose accepted
-lines carry their samples, and after an accepted section's log line hands its
-index line to the snapshot's writer (see snapshot), a buffered file that
-appends the lines to index.tsv in place about 256 KB at a time. Every exit writes the lines
-still pending and rebuilds samples.jsonl from the log.
+lines carry their samples. Before an accepted section's log line, its index
+line is appended to index.tsv and flushed (see snapshot), so the index may
+run ahead of the log but never behind it. Every exit but a SIGKILL rebuilds
+samples.jsonl from the log's whole lines, and --resume cuts both files back
+to the log: its torn last line, and the index lines past its accepted ones.
 
 One failure rule: a bad reply ends only its section, as a
 generation_error; a call that still fails after its retries, a rejected
-key or any other error ends the run, and no later section starts. Sections
-before the failing one stay committed, it and all later ones leave no
-trace, and the index is saved on the way out, so --resume finishes the
-run with the samples, index and manifest an uninterrupted run writes. A
-requested stop ends the run the same way, at the top of a loop turn.
+key, a failed write or any other error ends the run, and no later section
+starts. Sections whose whole log lines reached the file stay committed, and
+the rest leave nothing that --resume keeps, so it finishes the run with the
+samples, index and manifest an uninterrupted run writes, after a SIGKILL too.
+A requested stop ends the run the same way, at the top of a loop turn.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .dedup import DEDUP_THRESHOLD, QuestionIndex
 from .gateway import Bound, ProtocolError, check_fields
 from .runlog import (INDEX_FILENAME, MANIFEST_FILENAME, RUN_CONFIG_FILENAME, SAMPLES_FILENAME,
                      TRACES_FILENAME, write_atomic)
-from .snapshot import ID_SEPARATORS, IndexWriter, index_line, load_index, save_index
+from .snapshot import ID_SEPARATORS, index_line, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -381,16 +382,17 @@ def load_samples(path) -> list[QaSample]:
 def _load_resume_state(out_dir: Path, config: PipelineConfig):
     """The consumed section ids, outcome counts and index on disk.
 
-    Reads samples from the log, never from samples.jsonl. Refuses (ValueError
-    naming path:line) a line that is not a valid trace: one of OUTCOMES, a
-    section no other trace has, and if accepted a valid sample. Refuses
-    (ValueError) unless the index and the accepted samples list the same ids
-    in the same order, as every exit that runs run_pipeline's finally leaves
-    them; a SIGKILL can leave them apart.
+    Reads samples from the log's whole lines, never from samples.jsonl.
+    Refuses (ValueError naming path:line) a line that is not a valid trace:
+    one of OUTCOMES, a section no other trace has, and if accepted a valid
+    sample. Refuses (ValueError) unless the index begins with the accepted
+    samples' ids in their order, as every exit leaves it. Only then cuts both
+    files back to what the log committed, so a refusal changes no byte.
     """
     consumed: set[str] = set()
     counts = {outcome: 0 for outcome in OUTCOMES}
     accepted_ids = []
+    last_line = 0  # the number of the log's last whole line
 
     def trace_of(record):
         outcome, section_id = record["outcome"], record["section_id"]
@@ -403,21 +405,26 @@ def _load_resume_state(out_dir: Path, config: PipelineConfig):
 
     traces_path = out_dir / TRACES_FILENAME
     if traces_path.exists():
-        for _, (outcome, sample) in runlog.replay(traces_path, trace_of, "trace record"):
+        for last_line, (outcome, sample) in runlog.replay(traces_path, trace_of, "trace record",
+                                                          log=True):
             counts[outcome] += 1
             if sample is not None:
                 accepted_ids.append(sample.sample_id)
     index_path = out_dir / INDEX_FILENAME
     if index_path.exists():
-        index = load_index(index_path, threshold=config.dedup_threshold)
+        index = load_index(index_path, threshold=config.dedup_threshold, rows=len(accepted_ids))
     else:
         index = QuestionIndex(threshold=config.dedup_threshold)
     if index.ids != accepted_ids:
         raise ValueError(
             f"{out_dir}: cannot resume: {INDEX_FILENAME} holds {len(index)} ids and "
-            f"{TRACES_FILENAME} {len(accepted_ids)} accepted samples, and they must be "
-            f"the same ids in the same order"
+            f"{TRACES_FILENAME} {len(accepted_ids)} accepted samples, and the index must "
+            f"begin with the same ids in the same order"
         )
+    if traces_path.exists():
+        runlog.cut_after(traces_path, last_line)
+    if index_path.exists():
+        runlog.cut_after(index_path, len(accepted_ids))
     return consumed, counts, index
 
 
@@ -457,16 +464,16 @@ def run_pipeline(
     Writes traces.jsonl, samples.jsonl, manifest.json, and the dedup
     index snapshot under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
-    With resume=True, consumed sections are skipped and the log and index
-    are extended; otherwise samples, traces and index are deleted first.
+    With resume=True, the log and index are cut back to what the log
+    committed, consumed sections are skipped and both files are extended;
+    otherwise samples, traces and index are deleted first.
     Every exit after that rewrites samples.jsonl from the log, and only a
     finished run writes manifest.json, which every run first deletes. A
     fresh run records the settings that decide its outputs in
     run_config.json, and resume=True refuses other settings before any file
     is touched. Once stopped() is true, no more sections are submitted and
-    the loop ends at the top of its next turn, where the log and the index
-    agree; the run then raises KeyboardInterrupt in place of writing
-    manifest.json.
+    the loop ends at the top of its next turn; the run then raises
+    KeyboardInterrupt in place of writing manifest.json.
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
@@ -487,19 +494,18 @@ def run_pipeline(
     def work(section: CorpusSection):
         return _process_section(section, config, chat, embed, qa_template, simplify_template)
 
-    writer = IndexWriter(out_dir / INDEX_FILENAME)
     try:
         with open(out_dir / TRACES_FILENAME, "a", encoding="utf-8") as traces_fh, \
+                open(out_dir / INDEX_FILENAME, "ab") as index_fh, \
                 closing(ordered_map(work, sections, config.concurrency_limit,
                                     lambda: 0 if stopped() else
                                     config.target_samples - counts["accepted"])) as results:
             for trace, candidate in results:
-                line = None
                 if candidate is not None:
                     sample, embedding = candidate
                     decision = index.check_and_insert(sample.sample_id, embedding)
-                    if decision.accepted:
-                        line = index_line(sample.sample_id, embedding)
+                    if decision.accepted:  # flushed before its log line is written
+                        save_index(index_fh, index_line(sample.sample_id, embedding))
                         trace.outcome = "accepted"
                         trace.sample = sample
                     else:
@@ -508,15 +514,10 @@ def run_pipeline(
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
                 traces_fh.write(runlog.encode(asdict(trace)))
-                if line is not None:  # after its log line, so the index is never ahead of it
-                    writer.append(line)
-    finally:
-        try:
-            save_index(writer)
-        finally:  # samples.jsonl is the log's accepted samples
-            log = (r for _, r in runlog.replay(out_dir / TRACES_FILENAME))
-            runlog.write_records(out_dir / SAMPLES_FILENAME,
-                                 (r["sample"] for r in log if r["outcome"] == "accepted"))
+    finally:  # samples.jsonl is the log's accepted samples
+        log = (r for _, r in runlog.replay(out_dir / TRACES_FILENAME, log=True))
+        runlog.write_records(out_dir / SAMPLES_FILENAME,
+                             (r["sample"] for r in log if r["outcome"] == "accepted"))
     if stopped():
         raise KeyboardInterrupt
 

@@ -7,6 +7,7 @@ and every file that is not append-only is replaced through write_atomic.
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -36,22 +37,37 @@ def encodes(text: str) -> bool:
     return True
 
 
-def lines(path) -> Iterator[tuple[int, str]]:
+def lines(path, log: bool = False) -> Iterator[tuple[int, str]]:
     """(line number, line) per line of the text file at path, from 1; raises
-    ValueError naming path:line on bytes that UTF-8 cannot decode."""
+    ValueError naming path:line on bytes that UTF-8 cannot decode. With log,
+    only LF ends a line, and the bytes after the last LF, a line that a crash
+    or a full disk cut short, are left out: what a run's log committed."""
     # A strict decode fails in a buffered read that knows no line number.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n" if log else None) as fh:
         for line_no, line in enumerate(fh, start=1):
+            if log and not line.endswith("\n"):
+                return
             if not encodes(line):
                 raise ValueError(f"{path}:{line_no}: bytes that UTF-8 cannot decode")
             yield line_no, line
 
 
-def replay(path, parse: Callable = lambda record: record, what: str = "record") -> Iterator:
+def cut_after(path, count: int) -> None:
+    """Cut the file at path after its first count lines, in place."""
+    with open(path, "r+b") as fh:
+        for _ in islice(fh, count):
+            pass
+        fh.truncate(fh.tell())
+
+
+def replay(path, parse: Callable = lambda record: record, what: str = "record",
+           log: bool = False) -> Iterator:
     """(line number, parse(record)) per non-blank line of the JSON-lines file
-    at path; raises ValueError naming path:line on a line that is not JSON or
-    whose record parse refuses with TypeError, KeyError or ValueError."""
-    for line_no, line in lines(path):
+    at path, read as lines(path, log) reads it; raises ValueError naming
+    path:line on a line that is not JSON or whose record parse refuses with
+    TypeError, KeyError or ValueError."""
+    for line_no, line in lines(path, log):
         line = line.strip()
         if not line:
             continue

@@ -4,13 +4,13 @@ A snapshot holds one line per index entry: the sample id, a tab, and the
 row's float64 values as repr decimals separated by spaces, which load_index
 reads back bit-exactly. An id therefore holds none of ID_SEPARATORS.
 
-synth appends each accepted entry's index_line in place, through an
-IndexWriter, a buffered file, and save_index, which every exit from the run
-calls, writes what is still pending and closes it. orjson is imported only
-where a line is spelled or read, so eval, export and score never load it.
+synth appends each accepted entry's index_line in place through save_index,
+which flushes it before the entry's log line is written, so the snapshot may
+run ahead of the log but never behind it (see pipeline). orjson is imported
+only where a line is spelled or read, so eval, export and score never load it.
 """
 
-import os
+from itertools import islice
 
 import numpy as np
 
@@ -44,58 +44,29 @@ def index_line(sample_id: str, row: np.ndarray) -> bytes:
     return sample_id.encode("utf-8") + b"\t" + decimals + b"\n"
 
 
-class IndexWriter:
-    """Appends lines to path's snapshot, opened (or created) at once, through
-    a 256 KB buffer. A write that raises OSError cuts the snapshot back to
-    what it held at the start (removes it, if the writer created it), and
-    nothing more is written."""
-
-    # A 1 MB buffer added 1-2 MB to synth-latency's peak RSS; writing 256 KB
-    # at a time cost synth-cpu no measurable wall time.
-    _BUFFER_BYTES = 1 << 18
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._size = os.path.getsize(self.path) if os.path.exists(self.path) else None
-        self._file = open(self.path, "ab", buffering=self._BUFFER_BYTES)
-
-    def append(self, line: bytes) -> None:
-        self._cut_back_on_failure(self._file.write, line)
-
-    def close(self) -> None:
-        """Write what is pending and close the file."""
-        self._cut_back_on_failure(self._file.close)
-
-    def _cut_back_on_failure(self, step, *args) -> None:
-        try:
-            step(*args)
-        except OSError as exc:
-            self._file.raw.close()  # drops what the buffer holds
-            if self._size is None:
-                os.unlink(self.path)
-            else:
-                os.truncate(self.path, self._size)
-            raise OSError(exc.errno, f"cannot append to {self.path} ({exc.strerror}); "
-                                     "it was cut back to what it held before the run") from exc
+def save_index(fh, line: bytes) -> None:
+    """Append line to the snapshot open in fh, a buffered binary file, and
+    flush it (a function, so that perfbench's tracer can time it). An OSError
+    names the file and leaves it as it stands, without line's pending bytes."""
+    try:
+        fh.write(line)
+        fh.flush()
+    except OSError as exc:
+        fh.raw.close()  # drops what the buffer holds, so closing fh writes nothing more
+        raise OSError(exc.errno, f"cannot append to {fh.name} ({exc.strerror})") from exc
 
 
-def save_index(writer: IndexWriter) -> None:
-    """Write what writer holds pending and close its file (a function, so
-    that perfbench's tracer can time it)."""
-    writer.close()
-
-
-def load_index(path, threshold=None):
-    """A dedup.QuestionIndex of the snapshot at path, at threshold (None:
-    dedup.DEDUP_THRESHOLD); errors, a torn last line among them, name the
-    file and line."""
+def load_index(path, threshold=None, rows=None):
+    """A dedup.QuestionIndex of the snapshot at path, or of its first rows
+    lines, at threshold (None: dedup.DEDUP_THRESHOLD); errors, a torn last
+    line among them, name the file and line."""
     import orjson
 
     from .dedup import DEDUP_THRESHOLD, QuestionIndex, embedding_matrix
     from .runlog import lines
 
     index = QuestionIndex(DEDUP_THRESHOLD if threshold is None else threshold)
-    for line_no, line in lines(path):
+    for line_no, line in islice(lines(path), rows):
         if not line.endswith("\n"):  # torn: its last number may be cut short
             raise ValueError(f"{path}:{line_no}: index line lacks its newline")
         if line == "\n":

@@ -28,7 +28,7 @@ from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 from convoforge.pipeline import (
     _AHEAD, PipelineConfig, ingest_corpus, load_samples, read_corpus_file)
 from convoforge.simulate import SimulatedModelTransport
-from convoforge.snapshot import IndexWriter, load_index
+from convoforge.snapshot import load_index
 
 
 def run_cli(capsys, *argv, transport_factory=None):
@@ -75,25 +75,30 @@ def fail_writes_to(monkeypatch, name, after, error):
     monkeypatch.setattr("builtins.open", failing_open)
 
 
-def fail_flushes_to(monkeypatch, name, after, error):
-    """Make a file named name that is opened with mode "ab" raise error at
-    its raw write after `after` writes: below its buffer, where a disk that
-    fills up fails."""
+def fail_flushes_to(monkeypatch, name, after, error, room=None):
+    """Make a file named name that is opened with mode "ab" or "a" raise error
+    at its raw write after `after` writes, or, with room, once it has taken
+    room bytes (the write that reaches room takes only what fits): below its
+    buffer, where a disk that fills up fails."""
     real_open = open
 
     class Failing(io.FileIO):
-        writes = 0
+        writes, taken = 0, 0
 
         def write(self, data):
-            if self.writes == after:
+            if self.writes == after or self.taken == room:
                 raise error
+            if room is not None:
+                data = bytes(data[:room - self.taken])
             self.writes += 1
+            self.taken += len(data)
             return super().write(data)
 
-    def failing_open(file, mode="r", buffering=-1, *args, **kwargs):
-        if mode == "ab" and os.path.basename(str(file)) == name:
-            return io.BufferedWriter(Failing(file, "a"), buffering)
-        return real_open(file, mode, buffering, *args, **kwargs)
+    def failing_open(file, mode="r", buffering=-1, encoding=None, *args, **kwargs):
+        if mode in ("ab", "a") and os.path.basename(str(file)) == name:
+            buffered = io.BufferedWriter(Failing(file, "a"))
+            return buffered if mode == "ab" else io.TextIOWrapper(buffered, encoding)
+        return real_open(file, mode, buffering, encoding, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", failing_open)
 
@@ -104,19 +109,6 @@ def disk_full():
 
 def tmp_files(directory):
     return sorted(str(path) for path in Path(directory).rglob("*.tmp"))
-
-
-def record_index_writers(monkeypatch):
-    """Record each IndexWriter that synth makes from now on, in the list returned."""
-    writers = []
-
-    class Recorded(IndexWriter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            writers.append(self)
-
-    monkeypatch.setattr(pipeline_module, "IndexWriter", Recorded)
-    return writers
 
 
 def write_dryrun_config(tmp_path, **extra_paths):
@@ -620,8 +612,9 @@ class SurrogateFor(SimulatedModelTransport):
         return response
 
 
-def live_config(tmp_path):
-    """Synth against the `sim` gateway, one call in flight, one retry at once."""
+def live_config(tmp_path, max_retries=1, backoff_base=0):
+    """Synth against the `sim` gateway, one call in flight, by default one
+    retry at once."""
     path = tmp_path / "live.yaml"
     path.write_text(
         "pipeline:\n"
@@ -631,8 +624,8 @@ def live_config(tmp_path):
         "  sim:\n"
         "    base_url: https://sim.invalid\n"
         "    api_key_env: SIM_SYNTH_KEY\n"
-        "    max_retries: 1\n"
-        "    backoff_base: 0\n"
+        f"    max_retries: {max_retries}\n"
+        f"    backoff_base: {backoff_base}\n"
         "run:\n"
         "  generation_profile: sim\n"
         "paths:\n"
@@ -693,19 +686,15 @@ class TestResume:
         assert {name: path.read_bytes() for name in ARTIFACTS
                 if (path := run_dir / name).exists()} == before
 
-    def test_resume_of_a_finished_run_changes_no_byte(self, capsys, tmp_path, monkeypatch):
-        # Each exit closes its index writer's file.
-        writers = record_index_writers(monkeypatch)
+    def test_resume_of_a_finished_run_changes_no_byte(self, capsys, tmp_path):
         config = write_dryrun_config(tmp_path)
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
         assert code == 0
-        assert [writer._file.closed for writer in writers] == [True]
         run_dir = tmp_path / "run"
         before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
         index_inode = (run_dir / "index.tsv").stat().st_ino
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
-        assert [writer._file.closed for writer in writers] == [True, True]
         assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
         assert (run_dir / "index.tsv").stat().st_ino == index_inode  # appended in place
 
@@ -738,10 +727,16 @@ class TestResume:
         assert not (tmp_path / "run" / "samples.jsonl").exists()
         code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
         assert code == 0
-        for name in ("run/samples.jsonl", "run/index.tsv", "run/manifest.json"):
-            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            assert digest == GOLDEN_SHA256[name], name
+        assert_golden_run(tmp_path / "run")
         assert tmp_files(tmp_path) == []
+
+    def test_resume_cuts_a_log_line_torn_inside_a_character(self, capsys, synthesized_run):
+        # The torn tail is left out unread, so its cut "\xc3" is no error.
+        cut_inside_e_acute(synthesized_run / "run" / "traces.jsonl")
+        config = write_dryrun_config(synthesized_run)
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert_golden_run(synthesized_run / "run")
 
     def test_resume_refuses_a_torn_last_index_line(self, capsys, synthesized_run):
         # As a killed writer leaves it: the last number could load cut short.
@@ -839,48 +834,66 @@ MALFORMED_SAMPLES = [
 ]
 
 
+def assert_golden_run(run_dir):
+    """The run in run_dir wrote the 50-section dry run's golden bytes."""
+    for name in ("samples.jsonl", "index.tsv", "manifest.json"):
+        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[f"run/{name}"], name
+
+
 class TestIndexWriteFailure:
-    # A 4 KB buffer flushes every three lines or so; 1 MB holds them all until close.
-    @pytest.mark.parametrize("buffer_bytes, after", [(1 << 12, 0), (1 << 12, 5), (1 << 20, 0)],
-                             ids=["first-flush", "sixth-flush", "flush-at-close"])
+    # Each accepted entry's index line is one flush, so `after` counts whole
+    # lines; 5,000 bytes of room end the index in a torn line.
+    @pytest.mark.parametrize("after, room", [(0, None), (5, None), (None, 5000)],
+                             ids=["first-line", "sixth-line", "mid-line"])
     @pytest.mark.parametrize("start", ["fresh", "resumed"])
-    def test_synth_exits_1_and_leaves_the_index_as_the_run_found_it(
-        self, capsys, tmp_path, monkeypatch, buffer_bytes, after, start
+    def test_a_failed_index_write_exits_1_and_resume_finishes_the_run(
+        self, capsys, tmp_path, monkeypatch, after, room, start
     ):
         config = write_dryrun_config(tmp_path)
-        index = tmp_path / "run" / "index.tsv"
+        run_dir = tmp_path / "run"
+        index = run_dir / "index.tsv"
         resume = []
         if start == "resumed":
             code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
                                  "--limit", "20")
             assert code == 0
-            before = index.read_bytes()
             resume = ["--resume"]
-        writers = record_index_writers(monkeypatch)
-        monkeypatch.setattr(IndexWriter, "_BUFFER_BYTES", buffer_bytes)
         with monkeypatch.context() as patch:
-            fail_flushes_to(patch, "index.tsv", after, disk_full())
+            fail_flushes_to(patch, "index.tsv", after, disk_full(), room)
             code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", *resume)
         assert code == 1
         assert f"error: [Errno {errno.ENOSPC}] cannot append to {index} (" in err
-        left = ["run_config.json", "samples.jsonl", "traces.jsonl"]
-        if start == "fresh":  # the run created it
-            assert not index.exists()
-        else:
-            assert index.read_bytes() == before
-            left.insert(0, "index.tsv")
-        assert sorted(os.listdir(tmp_path / "run")) == left
-        assert [writer._file.closed for writer in writers] == [True]
-        # samples.jsonl is rebuilt from the log although the index write raised.
-        traces = read_corpus_file(tmp_path / "run" / "traces.jsonl")
-        assert read_corpus_file(tmp_path / "run" / "samples.jsonl") == [
-            t["sample"] for t in traces if t["outcome"] == "accepted"]
-        assert (len(traces) == 50) == (buffer_bytes == 1 << 20)  # only close failed after the loop
-        # The log went on past the index, so the directory cannot resume.
-        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
-        assert code == 3 and "cannot resume" in err
-        if resume:
-            assert index.read_bytes() == before
+        assert sorted(os.listdir(run_dir)) == [
+            "index.tsv", "run_config.json", "samples.jsonl", "traces.jsonl"]
+        # samples.jsonl is rebuilt from the log although the index write raised,
+        # and the index holds a whole line for each accepted log line.
+        traces = read_corpus_file(run_dir / "traces.jsonl")
+        samples = [t["sample"] for t in traces if t["outcome"] == "accepted"]
+        assert read_corpus_file(run_dir / "samples.jsonl") == samples
+        held = index.read_bytes()
+        torn = held[held.rfind(b"\n") + 1:]
+        assert held.count(b"\n") == len(samples) and bool(torn) == (room is not None)
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert_golden_run(run_dir)
+
+
+class TestLogWriteFailure:
+    def test_a_full_disk_exits_1_naming_it_and_resume_finishes_the_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        config = write_dryrun_config(tmp_path)
+        traces = tmp_path / "run" / "traces.jsonl"
+        with monkeypatch.context() as patch:
+            fail_flushes_to(patch, "traces.jsonl", None, disk_full(), room=12_000)
+            code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run")
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {disk_full()}"
+        assert traces.stat().st_size == 12_000 and not traces.read_bytes().endswith(b"\n")
+        code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
+        assert code == 0
+        assert_golden_run(tmp_path / "run")
 
 
 def test_synth_starts_no_process(capsys, tmp_path, monkeypatch):
@@ -910,7 +923,7 @@ class Slow(SimulatedModelTransport):
     def post(self, path, payload):
         with Slow.lock:
             Slow.posts += 1
-            if Slow.posts == 60:
+            if Slow.posts in (60, 90, 120):
                 print("mid-run", flush=True)
         time.sleep(0.005)
         return super().post(path, payload)
@@ -987,7 +1000,12 @@ def assert_resume_finishes(capsys, tmp_path, config):
     assert read_corpus_file(run_dir / "samples.jsonl") == samples
     assert load_index(run_dir / "index.tsv").ids == [s["sample_id"] for s in samples]
     assert 0 < len(samples) < 42
+    assert_resume_writes_the_whole_run(capsys, tmp_path, config)
 
+
+def assert_resume_writes_the_whole_run(capsys, tmp_path, config):
+    """--resume of the run in tmp_path/run writes what an uninterrupted run writes."""
+    run_dir = tmp_path / "run"
     healthy = SimulatedModelTransport()
     code, _, _ = run_cli(capsys, "synth", "--config", str(config), "--resume",
                          transport_factory=lambda profile, gw: healthy)
@@ -1022,6 +1040,67 @@ def test_sigterm_leaves_a_run_that_resume_finishes(capsys, tmp_path):
     handler = signal.getsignal(signal.SIGTERM)
     assert_resume_finishes(capsys, tmp_path, config)
     assert signal.getsignal(signal.SIGTERM) is handler  # restored after each in-process synth
+
+
+@pytest.mark.parametrize("marks", [1, 2, 3], ids=["post-60", "post-90", "post-120"])
+def test_sigkill_leaves_a_run_that_resume_finishes(capsys, tmp_path, marks):
+    """A SIGKILL runs no finally: the log's buffered lines are lost, the index
+    runs ahead of it, and samples.jsonl may be missing."""
+    config = live_config(tmp_path)
+    proc = start_synth(config)
+    try:
+        for _ in range(marks):
+            assert proc.stdout.readline() == b"mid-run\n"
+        os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert_resume_writes_the_whole_run(capsys, tmp_path, config)
+
+
+# Serves the simulator until post 60, then answers 503 to every post: it says
+# "backing off" at the first 503 and "post" at each later post.
+OUTAGE_SCRIPT = """
+import signal, sys, threading
+from convoforge import cli
+from convoforge.gateway import TransportResponse
+from convoforge.simulate import SimulatedModelTransport
+
+class Outage(SimulatedModelTransport):
+    posts, lock = 0, threading.Lock()
+
+    def post(self, path, payload):
+        with Outage.lock:
+            Outage.posts += 1
+            if Outage.posts < 60:
+                return super().post(path, payload)
+            print("backing off" if Outage.posts == 60 else "post", flush=True)
+        return TransportResponse(status=503, body={"error": "service unavailable"})
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+sys.exit(cli.main(sys.argv[1:], transport_factory=lambda profile, gw: Outage()))
+"""
+
+
+def test_a_stop_cuts_a_backoff_sleep_short(capsys, tmp_path):
+    """The call backing off on a 503 when the stop arrives makes no further
+    post, and the run still ends as a stop."""
+    config = live_config(tmp_path, max_retries=4, backoff_base=60)
+    proc = start_synth(config, OUTAGE_SCRIPT)
+    try:
+        assert proc.stdout.readline() == b"backing off\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == -signal.SIGINT, err.decode()
+    assert out == b""
+    assert_resume_finishes(capsys, tmp_path, config)
 
 
 def test_a_second_sigint_kills_a_stopping_run_at_once(tmp_path):
@@ -1144,11 +1223,10 @@ def test_malformed_traces_line_fails_resume_with_exit_3(capsys, synthesized_run,
 
 def cut_inside_e_acute(path):
     """Make path's last line end inside an "é", as a SIGKILL during a buffered
-    write can leave it, and return that line's number."""
+    write can leave it."""
     lines = path.read_bytes().splitlines(keepends=True)
     last = json.dumps({**json.loads(lines[-1]), "error": "café"}, ensure_ascii=False).encode()
     path.write_bytes(b"".join(lines[:-1]) + last[:last.index(b"\xc3") + 1])
-    return len(lines)
 
 
 def put_ff_into_line(path, line_no):
@@ -1161,8 +1239,7 @@ def put_ff_into_line(path, line_no):
 
 def argv_reading_bad_traces(run_dir):
     traces = run_dir / "run" / "traces.jsonl"
-    line_no = cut_inside_e_acute(traces)
-    return traces, line_no, ["synth", "--config", str(write_dryrun_config(run_dir)),
+    return traces, put_ff_into_line(traces, 3), ["synth", "--config", str(write_dryrun_config(run_dir)),
                              "--dry-run", "--resume"]
 
 

@@ -1,6 +1,8 @@
 """Near-duplicate index: cosine math, boundary semantics, snapshots."""
 
+import errno
 import hashlib
+import io
 import math
 import os
 import random
@@ -17,7 +19,7 @@ from convoforge.dedup import (
     embedding_matrix,
     find_violations,
 )
-from convoforge.snapshot import IndexWriter, index_line, load_index, save_index
+from convoforge.snapshot import index_line, load_index, save_index
 
 
 def vec(*values) -> np.ndarray:
@@ -237,6 +239,14 @@ class TestSnapshot:
             load_index(path)
         assert str(info.value) == f"{path}:2: index line lacks its newline"
 
+    def test_rows_loads_only_the_first_lines_and_reads_no_further(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"a\t1.0 0.0\nb\t0.0 1.0\nc\t0.5 0.5\nd\t0.0 0.9470809631292422\n"[:-3])
+        assert load_index(path, rows=3).ids == ["a", "b", "c"]
+        assert load_index(path, rows=0).ids == []
+        with pytest.raises(ValueError, match=":4: index line lacks its newline$"):
+            load_index(path, rows=4)
+
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "index.tsv"
         path.write_text("qa-1\t0.5 1.0\nnot a valid line\n", encoding="utf-8")
@@ -252,10 +262,9 @@ def parent_line(sample_id: str, row: np.ndarray) -> bytes:
 
 def write_entries(path, ids, rows) -> None:
     """Append the entries to path's snapshot, as synth does."""
-    writer = IndexWriter(path)
-    for sample_id, row in zip(ids, rows):
-        writer.append(index_line(sample_id, row))
-    save_index(writer)
+    with open(path, "ab") as fh:
+        for sample_id, row in zip(ids, rows):
+            save_index(fh, index_line(sample_id, row))
 
 
 def write_index(path, index: QuestionIndex) -> None:
@@ -319,22 +328,29 @@ class TestIndexWriter:
         assert path.stat().st_ino == inode
         assert os.listdir(tmp_path) == ["index.tsv"]
 
-    def test_lines_wait_in_the_process_until_the_buffer_fills(self, tmp_path):
+    def test_each_line_is_in_the_file_when_save_index_returns(self, tmp_path):
         path = tmp_path / "index.tsv"
-        writer = IndexWriter(path)
-        rows = np.concatenate([self.varied_rows()] * 2)  # about 1.7 MB of lines
-        lines = [index_line(f"qa-{k}", row) for k, row in enumerate(rows)]
-        written = []
-        for line in lines:
-            writer.append(line)
-            written.append(path.stat().st_size)
-        assert written[0] == 0  # created empty, then left alone until the buffer fills
-        first = next(k for k, size in enumerate(written) if size)
-        # The line that overflows the buffer flushes the lines before it.
-        flushed = sum(map(len, lines[:first]))
-        assert written[first] == flushed <= IndexWriter._BUFFER_BYTES < flushed + len(lines[first])
-        save_index(writer)
-        assert path.read_bytes() == b"".join(lines)
+        lines = [index_line(f"qa-{k}", row) for k, row in enumerate(self.varied_rows())]
+        with open(path, "ab") as fh:
+            for k, line in enumerate(lines, start=1):
+                save_index(fh, line)
+                assert path.read_bytes() == b"".join(lines[:k])
+
+    def test_a_failed_write_names_the_file_and_writes_nothing_more(self, tmp_path):
+        class Full(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = tmp_path / "index.tsv"
+        path.write_bytes(b"qa-0\t1.0\n")
+        fh = io.BufferedWriter(Full(path, "a"))
+        with pytest.raises(OSError) as info:
+            save_index(fh, b"qa-1\t0.5\n")
+        assert info.value.errno == errno.ENOSPC
+        assert str(info.value) == f"[Errno {errno.ENOSPC}] cannot append to {path} (" \
+                                  f"{os.strerror(errno.ENOSPC)})"
+        fh.close()  # its pending bytes were dropped, so it writes nothing
+        assert path.read_bytes() == b"qa-0\t1.0\n"
 
 
 class TestFindViolations:

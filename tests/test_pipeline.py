@@ -724,6 +724,56 @@ class TestStop:
             assert artifact_bytes(out) == artifact_bytes(tmp_path / "whole"), k
 
 
+class TestCrashStates:
+    def test_every_crash_state_resumes_to_the_uninterrupted_run(self, corpus50_records, tmp_path):
+        """Each state a crash can leave, derived from the files of a finished
+        run as ALICE derives them (Pillai et al., OSDI 2014): the log cut at
+        each line boundary and in the middle of each line, beside an index
+        that holds its accepted lines, one more whole line, or one more torn
+        line, with no samples.jsonl or manifest.json. A resume finishes every
+        one to the uninterrupted run's bytes."""
+        from conftest import SimFns
+
+        # One worker, and each reply computed once (the simulator's depend on
+        # the request alone), keep the grid of about 300 resumes near 4 s.
+        config, sim, replies = PipelineConfig(concurrency_limit=1), SimFns(), {}
+
+        def chat(messages, temperature):
+            key = messages[-1]["content"]
+            if key not in replies:
+                replies[key] = sim.chat(messages, temperature)
+            return replies[key]
+
+        def embed(texts):
+            if tuple(texts) not in replies:
+                replies[tuple(texts)] = sim.embed(texts)
+            return replies[tuple(texts)]
+
+        run_pipeline(config, corpus50_records, chat, embed, tmp_path / "whole")
+        whole = artifact_bytes(tmp_path / "whole")
+        log = (tmp_path / "whole" / "traces.jsonl").read_bytes().splitlines(keepends=True)
+        entries = whole["index.tsv"].splitlines(keepends=True)
+        out = tmp_path / "crashed"
+        run_pipeline(config, corpus50_records, chat, embed, out, limit=0)  # its run_config.json
+        for n in range(len(log) + 1):
+            accepted = sum(json.loads(line)["outcome"] == "accepted" for line in log[:n])
+            committed = b"".join(entries[:accepted])
+            indexes = [committed]
+            if accepted < len(entries):
+                ahead = entries[accepted]
+                indexes += [committed + ahead, committed + ahead[:len(ahead) // 2]]
+            cuts = [b"".join(log[:n])]
+            if n < len(log):
+                cuts.append(cuts[0] + log[n][:len(log[n]) // 2])
+            for cut, index in itertools.product(cuts, indexes):
+                (out / "traces.jsonl").write_bytes(cut)
+                (out / "index.tsv").write_bytes(index)
+                for name in ("samples.jsonl", "manifest.json"):
+                    (out / name).unlink(missing_ok=True)
+                run_pipeline(config, corpus50_records, chat, embed, out, resume=True)
+                assert artifact_bytes(out) == whole, (n, len(cut), len(index))
+
+
 class TestOrderedMap:
     def test_results_keep_submission_order_with_at_most_limit_running(self):
         limit = 3

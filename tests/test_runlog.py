@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from convoforge.pipeline import read_corpus_file
-from convoforge.runlog import lines, replay, write_records
+from convoforge.runlog import cut_after, lines, replay, write_records
 
 # U+2028, U+0085 and \x1c end a line for str.splitlines but not for a file's
 # line iterator, which must keep them inside their record; \r and \n end one
@@ -58,3 +58,26 @@ def test_parse_refusals_name_path_and_line(tmp_path):
     path.write_text('{"k": 1}\n\n{"j": 2}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=at_line(path, 3, "not a thing: missing key 'k'")):
         list(replay(path, lambda record: record["k"], "thing"))
+
+
+def test_the_log_is_read_up_to_its_last_lf(tmp_path):
+    # A torn tail is left out unread: here it ends inside an "é" (0xc3 0xa9).
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n{"b": "\xc3\xa9"}\n{"c": "caf\xc3')
+    assert list(replay(path, log=True)) == [(1, {"a": 1}), (3, {"b": "é"})]
+    # Only LF ends a log line, as the cut of the log counts lines.
+    path.write_bytes(b'{"a": 1}\r{"b": 2}\r\n{"c"')
+    assert list(lines(path, log=True)) == [(1, '{"a": 1}\r{"b": 2}\r\n')]
+    path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n{"c"')
+    with pytest.raises(ValueError, match=at_line(path, 2, "bytes that UTF-8 cannot decode")):
+        list(lines(path, log=True))
+
+
+@pytest.mark.parametrize("count, left", [(0, b""), (1, b"a\n"), (2, b"a\nb\r\n"),
+                                         (3, b"a\nb\r\nc")])
+def test_cut_after_keeps_the_first_lines_in_place(tmp_path, count, left):
+    path = tmp_path / "index.tsv"
+    path.write_bytes(b"a\nb\r\nc")
+    inode = path.stat().st_ino
+    cut_after(path, count)
+    assert path.read_bytes() == left and path.stat().st_ino == inode
