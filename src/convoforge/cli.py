@@ -21,13 +21,13 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import prompts, runlog
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_run_config
-from .dedup import find_violations
+from .dedup import find_violations, load_index
 from .evalharness import build_report, emit_report, generate_responses
 from .gateway import (
     AuthenticationError,
@@ -44,7 +44,6 @@ from .pipeline import (PipelineConfig, export_finetune_file, load_samples, read_
                        run_pipeline, split_dataset)
 from .runlog import INDEX_FILENAME, RUN_FILENAMES, SAMPLES_FILENAME, VALIDATION_FILENAME
 from .simulate import SimulatedModelTransport
-from .snapshot import load_index
 from .textmetrics import flesch_reading_ease
 
 logger = logging.getLogger(__name__)
@@ -309,7 +308,7 @@ def cmd_export(args) -> int:
         raise ValueError(f"--out {out}: export would overwrite the dataset {dataset}")
     # Nested: the pair keeps validation apart from training, so a failed write leaves both.
     with runlog.write_atomic(validation) as fh:
-        fh.writelines(runlog.encode(asdict(s)) for s in splits.validation)
+        fh.writelines(map(runlog.encode, splits.validation))
         count = export_finetune_file(splits.subsets[args.size], system_prompt, out)
     print(f"wrote {count} records to {out}")
     print(f"wrote {len(splits.validation)} validation records to {validation}")

@@ -11,7 +11,7 @@ search gains nothing, and exactness keeps the boundary testable.
 
 Embeddings are checked once, by embedding_matrix, where they enter:
 the gateway's reply to one batch becomes one read-only float64 (n, d)
-matrix, and snapshot.load_index reads each line as a one-row matrix. The
+matrix, and load_index reads each line as a one-row matrix. The
 index and cosine_similarity then take plain 1-D rows; the index copies
 each row into its matrix and never keeps a reference to the caller's.
 
@@ -20,17 +20,34 @@ kernel, `_similarities`, built on np.einsum rather than `@`: einsum
 reduces each row alone, on one thread, so a row's bits do not depend on
 how many rows are passed or where they start (a BLAS gemv's can). The
 scan thus never flags a pair that the index accepted.
+
+The index file, index.tsv, holds one line per entry: the sample id, a tab,
+and the row's float64 values as repr decimals separated by spaces, which
+load_index reads back bit-exactly, so an id holds none of ID_SEPARATORS.
+synth appends each accepted entry's index_line through save_index, which
+flushes it before the entry's log line is written, so the file may run ahead
+of the log but never behind it (see pipeline). orjson is imported only where
+a line is spelled or read, so eval, export and score never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
+from .runlog import lines
+
 # Default dedup cutoff for synth and dedup-check; a cosine exactly at it passes.
 DEDUP_THRESHOLD = 0.8
+
+# The tab that ends an id in its index line, and the line ends load_index splits on.
+ID_SEPARATORS = "\t\n\r"
+
+# All an index line's decimals may hold: orjson reads true, "1" or 1,2 as numbers too.
+_DECIMAL_BYTES = b"0123456789.eE+- "
 
 
 def embedding_matrix(rows) -> np.ndarray:
@@ -122,7 +139,7 @@ class QuestionIndex:
         self._id_set.add(sample_id)
 
     def add_unchecked(self, sample_id: str, row: np.ndarray) -> None:
-        """Insert without a similarity check (bulk loads, snapshots)."""
+        """Insert without a similarity check (bulk loads, index files)."""
         self._insert(sample_id, *self._prepare(sample_id, row))
 
     def check_and_insert(self, sample_id: str, row: np.ndarray) -> DedupDecision:
@@ -163,3 +180,65 @@ def find_violations(index: QuestionIndex) -> list[tuple[str, str, float]]:
         found.extend((int(i), j, float(sims[i])) for i in over)
     found.sort()
     return [(ids[i], ids[j], sim) for i, j, sim in found]
+
+
+def index_line(sample_id: str, row: np.ndarray) -> bytes:
+    """The index line of a float64 row: byte for byte what
+    " ".join(map(repr, row)) spells, several times faster."""
+    import orjson
+
+    # orjson writes repr's digits in repr's notation but for the values that
+    # repr writes with an exponent: mask those as NaN, which orjson spells
+    # null, and put each one's repr where its null stands.
+    magnitudes = np.abs(row)
+    scientific = ((magnitudes > 0) & (magnitudes < 1e-4)) | (magnitudes >= 1e16)
+    masked = row.copy()
+    masked[scientific] = np.nan
+    spelled = orjson.dumps(masked, option=orjson.OPT_SERIALIZE_NUMPY)
+    pieces, start = [], 1  # past the "["
+    for value in row[scientific].tolist():
+        null = spelled.index(b"n", start)
+        pieces += (spelled[start:null], repr(value).encode("ascii"))
+        start = null + len(b"null")
+    pieces.append(spelled[start:-1])  # up to the "]"
+    decimals = b"".join(pieces).replace(b",", b" ")
+    return sample_id.encode("utf-8") + b"\t" + decimals + b"\n"
+
+
+def save_index(fh, line: bytes) -> None:
+    """Append line to the index file open in fh, a buffered binary file, and
+    flush it (a function, so that perfbench's tracer can time it). An OSError
+    names the file and leaves it as it stands, without line's pending bytes."""
+    try:
+        fh.write(line)
+        fh.flush()
+    except OSError as exc:
+        fh.raw.close()  # drops what the buffer holds, so closing fh writes nothing more
+        raise OSError(exc.errno, f"cannot append to {fh.name} ({exc.strerror})") from exc
+
+
+def load_index(path, threshold=None, rows=None):
+    """A QuestionIndex of the index file at path, or of its first rows lines,
+    at threshold (None: DEDUP_THRESHOLD); errors, a torn last line among
+    them, name the file and line."""
+    import orjson
+
+    index = QuestionIndex(DEDUP_THRESHOLD if threshold is None else threshold)
+    for line_no, line in islice(lines(path), rows):
+        if not line.endswith("\n"):  # torn: its last number may be cut short
+            raise ValueError(f"{path}:{line_no}: index line lacks its newline")
+        if line == "\n":
+            continue
+        try:
+            sample_id, decimals = line[:-1].split("\t")
+            decimals = decimals.encode("ascii")  # UnicodeError is a ValueError
+            if decimals.translate(None, _DECIMAL_BYTES):
+                raise ValueError("not a decimal")
+            (row,) = embedding_matrix([orjson.loads(b"[" + decimals.replace(b" ", b",") + b"]")])
+        except ValueError as exc:  # orjson.JSONDecodeError too
+            raise ValueError(f"{path}:{line_no}: malformed index line") from exc
+        try:
+            index.add_unchecked(sample_id, row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return index

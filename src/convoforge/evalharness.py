@@ -34,7 +34,7 @@ from .gateway import NetworkError, ProtocolError
 # Unused here, but perfbench/tracer.py rebinds complete_chat and embed_texts on this module.
 from .gateway import complete_chat, embed_texts  # noqa: F401
 from .pipeline import ChatFn, EmbedFn, QaSample, ordered_map
-from .runlog import write_atomic
+from .runlog import fields_of, write_atomic
 from .textmetrics import (
     CONVERSATIONAL_THRESHOLD,
     UnscorableTextError,
@@ -85,10 +85,6 @@ class EvalReport:
     complete_run: bool
     training_set_size: Optional[int] = None
     records: list[EvalRecord] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        # Records hold only scalars, so shallow copies equal asdict's deep ones.
-        return {**vars(self), "records": [dict(vars(r)) for r in self.records]}
 
 
 def generate_responses(
@@ -231,7 +227,7 @@ def emit_report(reports: Sequence[EvalReport], directory) -> dict[str, Path]:
     with write_atomic(paths["json"]) as json_fh, \
             write_atomic(paths["records"]) as records_fh, \
             write_atomic(paths["aggregate"]) as aggregate_fh:
-        json.dump([r.to_dict() for r in reports], json_fh, indent=2)
+        json.dump(list(reports), json_fh, indent=2, default=fields_of)
         json_fh.write("\n")
         records, aggregate = csv.writer(records_fh), csv.writer(aggregate_fh)
         records.writerow(

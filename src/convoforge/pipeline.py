@@ -16,7 +16,7 @@ that many finished sections wait for in-order consumption by one serial
 stage of dedup decisions, so a fixed seed is bit-identical. That stage
 appends each section to traces.jsonl, the one commit log, whose accepted
 lines carry their samples. Before an accepted section's log line, its index
-line is appended to index.tsv and flushed (see snapshot), so the index may
+line is appended to index.tsv and flushed (see dedup), so the index may
 run ahead of the log but never behind it. Every exit but a SIGKILL rebuilds
 samples.jsonl from the log's whole lines, and --resume cuts both files back
 to the log: its torn last line, and the index lines past its accepted ones.
@@ -47,24 +47,21 @@ from typing import Annotated, Callable, Iterable, Iterator, Mapping, Optional, S
 import numpy as np
 
 from . import prompts, runlog
-from .dedup import DEDUP_THRESHOLD, QuestionIndex
+from .dedup import (DEDUP_THRESHOLD, ID_SEPARATORS, QuestionIndex, index_line, load_index,
+                    save_index)
 from .gateway import Bound, ProtocolError, check_fields
 from .runlog import (INDEX_FILENAME, MANIFEST_FILENAME, RUN_CONFIG_FILENAME, SAMPLES_FILENAME,
                      TRACES_FILENAME, write_atomic)
-from .snapshot import ID_SEPARATORS, index_line, load_index, save_index
 from .textmetrics import MAX_FLESCH_SCORE, UnscorableTextError, flesch_reading_ease
 
 logger = logging.getLogger(__name__)
 
 OUTCOMES = ("accepted", "discarded_readability", "rejected_duplicate", "generation_error")
 
-# The settings that decide what a run makes, recorded in run_config.json.
-# target_samples, concurrency_limit, validation_size and subset_sizes decide
-# how far and how fast a run goes, or what export makes of it, so a --resume
-# may change them.
-_RECORDED_FIELDS = ("generation_model", "embedding_model", "min_section_chars",
-                    "accept_threshold", "max_attempts", "dedup_threshold", "random_seed",
-                    "generation_temperature", "max_output_tokens")
+# The settings that decide how far and how fast a run goes, or what export
+# makes of it, so a --resume may change them; run_config.json records every
+# other PipelineConfig field, as the settings that decide what a run makes.
+_RESUMABLE_FIELDS = ("target_samples", "validation_size", "subset_sizes", "concurrency_limit")
 
 # Signature of the chat seam: (messages, temperature) -> assistant text.
 ChatFn = Callable[[Sequence[dict], float], str]
@@ -436,8 +433,8 @@ def _check_run_config(out_dir: Path, run_config: dict) -> None:
         raise ValueError(f"{out_dir}: cannot resume: {RUN_CONFIG_FILENAME}, which records "
                          "the settings the run started under, is missing")
     try:
-        recorded = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a decode error too; neither names the file
+        recorded = json.loads("".join(line for _, line in runlog.lines(path)))
+    except json.JSONDecodeError as exc:  # names no file
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(recorded, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -462,7 +459,7 @@ def run_pipeline(
     """Drive the full synthesis loop, persist its artifacts, return the manifest.
 
     Writes traces.jsonl, samples.jsonl, manifest.json, and the dedup
-    index snapshot under out_dir. Corpus exhaustion before
+    index, index.tsv, under out_dir. Corpus exhaustion before
     target_samples is a warning plus a manifest flag, never a failure.
     With resume=True, the log and index are cut back to what the log
     committed, consumed sections are skipped and both files are extended;
@@ -477,7 +474,8 @@ def run_pipeline(
     """
     ingest = ingest_corpus(records, config)  # a bad corpus fails before any file is touched
     out_dir = Path(out_dir)
-    run_config = {f"pipeline.{name}": getattr(config, name) for name in _RECORDED_FIELDS}
+    run_config = {f"pipeline.{f.name}": getattr(config, f.name) for f in fields(config)
+                  if f.name not in _RESUMABLE_FIELDS}
     run_config.update({"prompts.qa_generation": qa_template, "prompts.simplify": simplify_template})
     if resume:
         _check_run_config(out_dir, run_config)
@@ -513,7 +511,7 @@ def run_pipeline(
                         trace.nearest_id = decision.nearest_id
                         trace.nearest_similarity = decision.nearest_similarity
                 counts[trace.outcome] += 1
-                traces_fh.write(runlog.encode(asdict(trace)))
+                traces_fh.write(runlog.encode(trace))
     finally:  # samples.jsonl is the log's accepted samples
         log = (r for _, r in runlog.replay(out_dir / TRACES_FILENAME, log=True))
         runlog.write_records(out_dir / SAMPLES_FILENAME,

@@ -7,6 +7,7 @@ and every file that is not append-only is replaced through write_atomic.
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -22,9 +23,18 @@ VALIDATION_FILENAME = "validation.jsonl"  # export writes it beside the fine-tun
 TMP_SUFFIX = ".tmp"  # write_atomic writes a file's new content under its name plus this
 
 
+def fields_of(value) -> dict:
+    """The json default= hook: a dataclass instance as its fields, as asdict
+    gives them but without its deep copy; TypeError for anything else."""
+    if not is_dataclass(value) or isinstance(value, type):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 def encode(record) -> str:
-    """record's line: JSON that keeps non-ASCII text as it is, then LF."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    """record's line: JSON that keeps non-ASCII text as it is, then LF; a
+    dataclass instance, at any depth, is written as its fields."""
+    return json.dumps(record, ensure_ascii=False, default=fields_of) + "\n"
 
 
 def encodes(text: str) -> bool:

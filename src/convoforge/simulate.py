@@ -87,7 +87,7 @@ class SimulatedModelTransport:
             f"The documented subject of {section_id} retains considerable "
             "administrative significance according to the archived material."
         )
-        return f'{{"question": {_json_str(question)}, "answer": {_json_str(answer)}}}'
+        return json.dumps({"question": question, "answer": answer}, ensure_ascii=False)
 
     def _simplify_step(self, prompt: str) -> str:
         round_match = _ROUND_RE.search(prompt)
@@ -110,7 +110,3 @@ class SimulatedModelTransport:
             for i, text in enumerate(payload["input"])
         ]
         return {"data": data, "model": payload["model"]}
-
-
-def _json_str(value: str) -> str:
-    return json.dumps(value, ensure_ascii=False)

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,11 +25,11 @@ import convoforge.gateway as gateway_module
 import convoforge.pipeline as pipeline_module
 from conftest import DATA_DIR, QA_SECTION_RE, ScriptedTransport
 from convoforge.config import ConfigError, load_run_config
+from convoforge.dedup import load_index
 from convoforge.gateway import CHAT_PATH, EMBEDDINGS_PATH, TransportResponse
 from convoforge.pipeline import (
     _AHEAD, PipelineConfig, ingest_corpus, load_samples, read_corpus_file)
 from convoforge.simulate import SimulatedModelTransport
-from convoforge.snapshot import load_index
 
 
 def run_cli(capsys, *argv, transport_factory=None):
@@ -809,13 +810,18 @@ class TestResume:
     def test_resume_refuses_a_damaged_settings_record_naming_it(self, capsys, synthesized_run):
         run_dir = synthesized_run / "run"
         run_config = run_dir / "run_config.json"
-        run_config.write_bytes(run_config.read_bytes()[:31])
-        before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+        whole = run_config.read_bytes()
         config = write_dryrun_config(synthesized_run)
-        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run", "--resume")
-        assert code == 3
-        assert f"error: {run_config}: invalid JSON: " in err
-        assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
+        for damaged, message in ((whole[:31], f"error: {run_config}: invalid JSON: "),
+                                 (b"\xff" + whole[1:],
+                                  f"error: {run_config}:1: bytes that UTF-8 cannot decode\n")):
+            run_config.write_bytes(damaged)
+            before = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
+            code, _, err = run_cli(capsys, "synth", "--config", str(config), "--dry-run",
+                                   "--resume")
+            assert code == 3
+            assert message in err
+            assert {name: (run_dir / name).read_bytes() for name in ARTIFACTS} == before
 
 
 # Each case: a sample record made into one that is not, and the reason its
@@ -1693,10 +1699,14 @@ GOLDEN_SHA256 = {
     "run/samples.jsonl": "b176d789ff220a32a2411c12b880182cac38898e98d7f2f7d9b328b75bbacb4a",
     "run/index.tsv": "28bc4ebffb3d20f2ae1c5a3afb4d72cb49f7214f7e080da4a6ab78b8ecaadc5c",
     "run/manifest.json": "69276ccd59bad3f9294e51b16b139d2b66738b93b9350a8ac45af0afd1b4ecbe",
+    "run/run_config.json": "56c9e322f8b94ecc9da68dcde4b544408ed04eac04aebcc55fd1fe237f0d8e53",
     "eval/report.json": "c0e4af5e2e3152f71d936b086e67bf39f627433dc6d54a8f4af686141ce9fa32",
     "eval/records.csv": "cbd8ee9c5b768d607323f4c79e4b1be6baa9928c75921d57e9ea1210d7fd170f",
     "eval/aggregate.csv": "251a875e0a14271c3f019467d5f284521f140f0d94f024721f113bc417f34da2",
 }
+# sha256 of the same run's traces.jsonl with each line's two timestamps cut out.
+GOLDEN_TRACES_SHA256 = "80d17951afcd97c8f29ce770909edb9755013caa5715d97fa9e9939237ec0ff7"
+TIMESTAMPS_RE = re.compile(rb', "(?:started|finished)_at": "[^"]*"')
 
 
 def test_dry_run_and_eval_keep_their_golden_bytes(capsys, synthesized_run):
@@ -1713,6 +1723,10 @@ def test_dry_run_and_eval_keep_their_golden_bytes(capsys, synthesized_run):
         for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+    traces = (synthesized_run / "run" / "traces.jsonl").read_bytes()
+    stripped, cut = TIMESTAMPS_RE.subn(b"", traces)
+    assert cut == 2 * traces.count(b"\n")
+    assert hashlib.sha256(stripped).hexdigest() == GOLDEN_TRACES_SHA256
     # Every whole file went through a .tmp file that was moved into place.
     assert sorted(os.listdir(synthesized_run / "run")) == sorted(ARTIFACTS)
     assert sorted(os.listdir(synthesized_run / "eval")) == [

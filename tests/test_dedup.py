@@ -18,8 +18,10 @@ from convoforge.dedup import (
     cosine_similarity,
     embedding_matrix,
     find_violations,
+    index_line,
+    load_index,
+    save_index,
 )
-from convoforge.snapshot import index_line, load_index, save_index
 
 
 def vec(*values) -> np.ndarray:
@@ -284,7 +286,7 @@ FINITE_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False) | NEAR_N
                        min_size=1, max_size=40)
 
 
-class TestIndexWriter:
+class TestIndexLines:
     def varied_rows(self) -> np.ndarray:
         """Seeded normals at scales from 1e-150 to 1e150, with every
         row holding -0.0, the smallest subnormal, 1e-05, 1e16 and 0.1."""

@@ -408,7 +408,7 @@ class TestEmitReport:
         base, tuned = self.build_pair()
         paths = emit_report([base, tuned], tmp_path)
         with open(paths["json"], encoding="utf-8") as fh:
-            assert json.load(fh) == [base.to_dict(), tuned.to_dict()]
+            assert json.load(fh) == [dataclasses.asdict(base), dataclasses.asdict(tuned)]
 
 
 class TestPublishedPercentageReplay:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import QA_SECTION_RE
-from convoforge.dedup import find_violations
+from convoforge.dedup import find_violations, load_index
 from convoforge.gateway import NetworkError, ProtocolError
 from convoforge.pipeline import (
     _AHEAD,
@@ -30,7 +30,6 @@ from convoforge.pipeline import (
     split_dataset,
 )
 from convoforge.prompts import CONCISE_FINETUNE_PROMPT, SIMPLIFY_TEMPLATE
-from convoforge.snapshot import load_index
 from convoforge.textmetrics import flesch_reading_ease
 
 EASY_TEXT = (

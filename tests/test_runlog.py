@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from convoforge.pipeline import read_corpus_file
-from convoforge.runlog import cut_after, lines, replay, write_records
+from convoforge.evalharness import EvalRecord, EvalReport
+from convoforge.pipeline import GenerationTrace, QaSample, read_corpus_file
+from convoforge.runlog import cut_after, encode, lines, replay, write_records
 
 # U+2028, U+0085 and \x1c end a line for str.splitlines but not for a file's
 # line iterator, which must keep them inside their record; \r and \n end one
@@ -81,3 +83,33 @@ def test_cut_after_keeps_the_first_lines_in_place(tmp_path, count, left):
     inode = path.stat().st_ino
     cut_after(path, count)
     assert path.read_bytes() == left and path.stat().st_ino == inode
+
+
+SAMPLE = QaSample(sample_id="qa-sec-ok-001", question="Qu'a dit l'élève « ici » ?",
+                  answer_original="Il a dit \"oui\"\n中文 😀", answer_simplified="Oui.\u2028Bien.",
+                  flesch_score=81.25, attempts_used=2, section_id="sec-ok-001")
+STAMPS = {"started_at": "2026-01-01T00:00:00.000+00:00",
+          "finished_at": "2026-01-01T00:00:01.250+00:00"}
+
+
+@pytest.mark.parametrize("record", [
+    GenerationTrace("sec-ok-001", "accepted", [40.5, 81.25], SAMPLE, **STAMPS),
+    GenerationTrace("sec-dup-002", "rejected_duplicate", [90.0], nearest_id="qa-sec-dup-001",
+                    nearest_similarity=0.9999999999999998, **STAMPS),
+    GenerationTrace("sec-err-003", "generation_error",
+                    error="unparseable QA output after retry: 'I cannot é'", **STAMPS),
+    SAMPLE,
+    EvalReport("tuned", 60.0, 2, 50.0, 0.75, 1, 0, 3, False, 100, records=[
+        EvalRecord("qa-1", SAMPLE.question, SAMPLE.answer_simplified, "Sí, claro.", 90.5, True, 0.5),
+        EvalRecord("qa-2", "Why?", "Because.", "Owing to circumstances.", 12.0, False, 1.0)]),
+], ids=["accepted-trace", "rejected-trace", "failed-trace", "non-ascii-sample", "eval-report"])
+def test_a_dataclass_is_encoded_as_asdict_gives_it(record):
+    assert encode(record) == json.dumps(asdict(record), ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), QaSample], ids=["object", "dataclass-class"])
+def test_what_json_cannot_take_raises_type_error(value):
+    with pytest.raises(TypeError, match="is not JSON serializable$"):
+        encode(value)
+    with pytest.raises(TypeError, match="is not JSON serializable$"):
+        encode({"sample": SAMPLE, "value": value})
